@@ -57,6 +57,7 @@ import (
 
 	"github.com/cap-repro/crisprscan"
 	"github.com/cap-repro/crisprscan/internal/checkpoint"
+	"github.com/cap-repro/crisprscan/internal/metrics"
 	"github.com/cap-repro/crisprscan/internal/report"
 )
 
@@ -313,9 +314,13 @@ func run(ctx context.Context, cfg *config) (err error) {
 	if cfg.altPAM != "" {
 		alts = strings.Split(cfg.altPAM, ",")
 	}
+	// The recorder exists before anything is loaded, so reading the
+	// genome or index is charged to its load phase (and traced as a
+	// "load" span) rather than left out of -stats and /metrics.
 	params := crisprscan.Params{
 		MaxMismatches: cfg.k, PAM: cfg.pam, AltPAMs: alts, Region: cfg.region, PlusStrandOnly: cfg.plusOnly,
 		Engine: crisprscan.Engine(cfg.engineName), Workers: cfg.workers,
+		Metrics: crisprscan.NewMetricsRecorder(),
 	}
 
 	// A prebuilt index forces the seed-index engine: the point of -index
@@ -331,13 +336,6 @@ func run(ctx context.Context, cfg *config) (err error) {
 		default:
 			return fmt.Errorf("-index requires the seed-index engine, not -engine %s", cfg.engineName)
 		}
-		ix, err := crisprscan.LoadSeedIndex(cfg.indexPath)
-		if err != nil {
-			return err
-		}
-		params.SeedIndex = ix
-		logger.Info("loaded genome seed index",
-			"index", cfg.indexPath, "chromosomes", len(ix.Chroms), "seed_len", ix.SeedLen)
 	}
 
 	if cfg.tracePath != "" {
@@ -346,9 +344,7 @@ func run(ctx context.Context, cfg *config) (err error) {
 			return terr
 		}
 		tracer := crisprscan.NewChromeTracer(tf)
-		rec := crisprscan.NewMetricsRecorder()
-		rec.SetTracer(tracer)
-		params.Metrics = rec
+		params.Metrics.SetTracer(tracer)
 		defer func() {
 			if cerr := tracer.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("finalizing trace: %w", cerr)
@@ -359,15 +355,25 @@ func run(ctx context.Context, cfg *config) (err error) {
 		}()
 	}
 
-	if adm != nil {
-		// Every admin-visible scan carries a recorder (for /metrics) and
-		// a progress tracker (for /debug/scans). In streaming mode the
-		// FASTA file size seeds the denominator — a slight overestimate
-		// (headers, newlines), which the tracker reconciles per finished
-		// chromosome and pins below 1.0 until the scan completes.
-		if params.Metrics == nil {
-			params.Metrics = crisprscan.NewMetricsRecorder()
+	if cfg.indexPath != "" {
+		endLoad := params.Metrics.StartPhase(metrics.PhaseLoad)
+		ix, err := crisprscan.LoadSeedIndex(cfg.indexPath)
+		endLoad()
+		if err != nil {
+			return err
 		}
+		params.SeedIndex = ix
+		logger.Info("loaded genome seed index",
+			"index", cfg.indexPath, "chromosomes", len(ix.Chroms), "seed_len", ix.SeedLen)
+	}
+
+	if adm != nil {
+		// Every admin-visible scan carries its recorder (for /metrics)
+		// and a progress tracker (for /debug/scans). In streaming mode
+		// the FASTA file size seeds the denominator — a slight
+		// overestimate (headers, newlines), which the tracker reconciles
+		// per finished chromosome and pins below 1.0 until the scan
+		// completes.
 		prog := crisprscan.NewProgressTracker()
 		if cfg.stream {
 			if fi, serr := os.Stat(cfg.genomePath); serr == nil {
@@ -404,22 +410,24 @@ func run(ctx context.Context, cfg *config) (err error) {
 	}
 
 	var g *crisprscan.Genome
+	endLoad := params.Metrics.StartPhase(metrics.PhaseLoad)
 	if cfg.genomePath != "" {
 		g, err = crisprscan.LoadGenome(cfg.genomePath)
-		if err != nil {
-			return err
-		}
-		// Both given: prove the pair matches before scanning a single
-		// window. A reference edited after indexing must not run.
-		if params.SeedIndex != nil {
-			if err := params.SeedIndex.ValidateGenome(g); err != nil {
-				return err
-			}
-		}
 	} else {
 		// The index is self-contained: reconstruct the reference from its
 		// packed sequence sections.
 		g = params.SeedIndex.Genome()
+	}
+	endLoad()
+	if err != nil {
+		return err
+	}
+	// Both given: prove the pair matches before scanning a single
+	// window. A reference edited after indexing must not run.
+	if cfg.genomePath != "" && params.SeedIndex != nil {
+		if err := params.SeedIndex.ValidateGenome(g); err != nil {
+			return err
+		}
 	}
 
 	if cfg.bulge > 0 {
@@ -526,7 +534,10 @@ func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, para
 		} else {
 			// -index without -genome: drive the same streaming pipeline
 			// from the reference reconstructed out of the index.
-			st, err = crisprscan.SearchGenomeStreamContext(ctx, params.SeedIndex.Genome(), guides, params, ctrl, emit)
+			endLoad := params.Metrics.StartPhase(metrics.PhaseLoad)
+			g := params.SeedIndex.Genome()
+			endLoad()
+			st, err = crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, ctrl, emit)
 		}
 	}
 	if cfg.stats && st != nil {

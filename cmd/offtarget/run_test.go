@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,4 +219,46 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestRunReportsLoadPhase pins that batch and -index runs charge
+// reading the reference to the load phase of the scan's recorder, so
+// -stats and /metrics show ingest time, and that -trace carries a
+// "load" span.
+func TestRunReportsLoadPhase(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 821)
+	idxPath := indexFixture(t, genomePath)
+	dir := t.TempDir()
+	for name, cfg := range map[string]*config{
+		"batch":        {genomePath: genomePath},
+		"index":        {indexPath: idxPath},
+		"index-stream": {indexPath: idxPath, stream: true},
+		"stream":       {genomePath: genomePath, stream: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := newScanRegistry()
+			cfg.guidesPath, cfg.k, cfg.pam, cfg.workers = guidesPath, 2, "NGG", 1
+			cfg.outPath = filepath.Join(dir, name+".tsv")
+			cfg.tracePath = filepath.Join(dir, name+".trace.json")
+			cfg.httpAddr, cfg.reg = "127.0.0.1:0", reg
+			cfg.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+			if err := run(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			merged, _, _, completed := reg.collect()
+			if completed != 1 {
+				t.Fatalf("%d scans completed, want 1", completed)
+			}
+			if merged.Phases.Load <= 0 {
+				t.Errorf("load phase = %v s, want > 0 (phases %+v)", merged.Phases.Load, merged.Phases)
+			}
+			trace, err := os.ReadFile(cfg.tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(trace, []byte(`{"name":"load","ph":"X"`)) {
+				t.Errorf("trace has no load span:\n%.400s", trace)
+			}
+		})
+	}
 }

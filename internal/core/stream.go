@@ -186,8 +186,8 @@ func SearchStreamContext(ctx context.Context, r io.Reader, guides []dna.Pattern,
 			endLoad()
 			continue
 		}
-		seq, _ := dna.ParseSeq(string(rec.Seq))
-		chrom := genome.Chromosome{Name: rec.ID, Seq: seq, Packed: dna.Pack(seq)}
+		seq, packed := dna.Encode(rec.Seq)
+		chrom := genome.Chromosome{Name: rec.ID, Seq: seq, Packed: packed}
 		endLoad()
 		if err := s.chrom(ctx, &chrom); err != nil {
 			return s.finish(start, err)

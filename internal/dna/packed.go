@@ -132,9 +132,7 @@ func FromWords(words, amb []uint64, n int) (*Packed, error) {
 // same sentinel, so Pack(p.Unpack()) reproduces p exactly.
 func (p *Packed) Unpack() Seq {
 	out := make(Seq, p.n)
-	for i := range out {
-		out[i] = p.Base(i)
-	}
+	unpackInto(out, p.words, p.amb)
 	return out
 }
 

@@ -22,54 +22,64 @@ type Record struct {
 	Seq         []byte // raw sequence bytes, newlines stripped
 }
 
-// Reader streams records from FASTA input.
+// Reader streams records from FASTA input. It reads lines in place
+// from its read buffer, so the only per-record allocations are the
+// header string, the Record and its exact-size Seq.
 type Reader struct {
 	br      *bufio.Reader
-	pending []byte // header line of the next record, without '>'
+	pending string // header line of the next record, without '>'
 	done    bool
 	lineNo  int
+	seq     []byte // sequence scratch, reused across records
+	long    []byte // assembly buffer for lines longer than br's buffer
 }
 
 // NewReader wraps r for FASTA parsing.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+func NewReader(r io.Reader) *Reader { return newReaderSize(r, 1<<16) }
+
+// newReaderSize is NewReader with a read buffer of size bytes (at least
+// 16); lines longer than the buffer are assembled across fills.
+func newReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, size)}
 }
 
 // Next returns the next record, or io.EOF when input is exhausted.
+// Trailing '\r' and '\n' are stripped from every line, blank lines are
+// skipped, and a header line with nothing after '>' names no record.
 func (r *Reader) Next() (*Record, error) {
 	if r.done {
 		return nil, io.EOF
 	}
 	header := r.pending
-	r.pending = nil
-	var seq bytes.Buffer
+	r.pending = ""
+	r.seq = r.seq[:0]
 	for {
-		line, err := r.br.ReadBytes('\n')
+		line, err := r.readLine()
 		r.lineNo++
-		line = bytes.TrimRight(line, "\r\n")
+		line = trimEOL(line)
 		switch {
 		case len(line) > 0 && line[0] == '>':
-			if header == nil && seq.Len() == 0 {
-				header = append([]byte(nil), line[1:]...)
+			if header == "" && len(r.seq) == 0 {
+				header = string(line[1:])
 				continue
 			}
-			r.pending = append([]byte(nil), line[1:]...)
-			return makeRecord(header, seq.Bytes())
+			r.pending = string(line[1:])
+			return makeRecord(header, r.seq)
 		case len(line) > 0:
-			if header == nil {
+			if header == "" {
 				return nil, fmt.Errorf("fasta: line %d: sequence data before any '>' header", r.lineNo)
 			}
-			if i := bytes.IndexByte(line, '>'); i >= 0 {
+			if bytes.IndexByte(line, '>') >= 0 {
 				return nil, fmt.Errorf("fasta: line %d: '>' inside sequence data", r.lineNo)
 			}
-			seq.Write(line)
+			r.seq = append(r.seq, line...)
 		}
 		if err == io.EOF {
 			r.done = true
-			if header == nil {
+			if header == "" {
 				return nil, io.EOF
 			}
-			return makeRecord(header, seq.Bytes())
+			return makeRecord(header, r.seq)
 		}
 		if err != nil {
 			return nil, err
@@ -77,14 +87,45 @@ func (r *Reader) Next() (*Record, error) {
 	}
 }
 
-func makeRecord(header, seq []byte) (*Record, error) {
-	h := string(header)
-	rec := &Record{Seq: append([]byte(nil), seq...)}
-	if i := strings.IndexAny(h, " \t"); i >= 0 {
-		rec.ID = h[:i]
-		rec.Description = strings.TrimSpace(h[i+1:])
+// readLine returns the next line with its '\n', or the final unterminated
+// line with io.EOF, as bufio.Reader.ReadBytes would. The slice aliases
+// the read buffer (or r.long for a line longer than it) and is valid
+// until the next call.
+func (r *Reader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	r.long = append(r.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.br.ReadSlice('\n')
+		r.long = append(r.long, line...)
+	}
+	return r.long, err
+}
+
+// trimEOL strips every trailing '\r' and '\n'.
+func trimEOL(line []byte) []byte {
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
+	return line
+}
+
+// makeRecord builds a record from a header and the sequence scratch,
+// copying the sequence out at its exact size.
+func makeRecord(header string, seq []byte) (*Record, error) {
+	rec := &Record{}
+	if len(seq) > 0 {
+		b := make([]byte, len(seq)) // make+copy of a local: one allocation, not zeroed
+		copy(b, seq)
+		rec.Seq = b
+	}
+	if i := strings.IndexAny(header, " \t"); i >= 0 {
+		rec.ID = header[:i]
+		rec.Description = strings.TrimSpace(header[i+1:])
 	} else {
-		rec.ID = h
+		rec.ID = header
 	}
 	if rec.ID == "" {
 		return nil, fmt.Errorf("fasta: record with empty ID")

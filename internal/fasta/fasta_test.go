@@ -185,3 +185,113 @@ func TestReadFileGzip(t *testing.T) {
 		t.Error("corrupt gzip must error")
 	}
 }
+
+// randomBases returns n random upper-case bases.
+func randomBases(rng *rand.Rand, n int) string {
+	letters := "ACGT"
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = letters[rng.Intn(len(letters))]
+	}
+	return string(b)
+}
+
+// TestReadLinesAcrossBufferFills covers lines at and past the 64 KiB
+// read buffer, where the Reader assembles a line from several fills;
+// each input must also parse as the reference parser parses it.
+func TestReadLinesAcrossBufferFills(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	chr := randomBases(rng, 200_000)
+	l65535, l65536, l65537 := randomBases(rng, 65535), randomBases(rng, 65536), randomBases(rng, 65537)
+	id, desc := "id"+strings.Repeat("x", 70_000), strings.Repeat("d", 70_000)
+	tail := randomBases(rng, 100)
+	cases := []struct {
+		name string
+		in   string
+		want []Record
+	}{
+		{"single-line 200 kbp chromosome", ">chr1 one line\n" + chr + "\n>chr2\nACGT\n",
+			[]Record{{ID: "chr1", Description: "one line", Seq: []byte(chr)}, {ID: "chr2", Seq: []byte("ACGT")}}},
+		{"line of 65535 bytes", ">a\n" + l65535 + "\n" + tail + "\n",
+			[]Record{{ID: "a", Seq: []byte(l65535 + tail)}}},
+		{"line of 65536 bytes", ">a\n" + l65536 + "\n" + tail + "\n",
+			[]Record{{ID: "a", Seq: []byte(l65536 + tail)}}},
+		{"line of 65537 bytes", ">a\n" + l65537 + "\n" + tail + "\n",
+			[]Record{{ID: "a", Seq: []byte(l65537 + tail)}}},
+		{"header longer than the buffer", ">" + id + " " + desc + "\nACGT\n",
+			[]Record{{ID: id, Description: desc, Seq: []byte("ACGT")}}},
+		// The first fill of the long line ends on its '\r'; the '\n'
+		// arrives with the next fill.
+		{"CR last byte of a fill", ">a\n" + l65535 + "\r\n" + tail + "\r\n",
+			[]Record{{ID: "a", Seq: []byte(l65535 + tail)}}},
+		{"no trailing newline", ">a\n" + l65537 + "\n>b\n" + l65536,
+			[]Record{{ID: "a", Seq: []byte(l65537)}, {ID: "b", Seq: []byte(l65536)}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkAgainstReference(t, tc.in)
+			got, err := ReadAll(strings.NewReader(tc.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d records, want %d", len(got), len(tc.want))
+			}
+			for i, w := range tc.want {
+				g := got[i]
+				if g.ID != w.ID || g.Description != w.Description || !bytes.Equal(g.Seq, w.Seq) {
+					t.Fatalf("record %d = {%.20q %.20q %d bytes}, want {%.20q %.20q %d bytes}",
+						i, g.ID, g.Description, len(g.Seq), w.ID, w.Description, len(w.Seq))
+				}
+			}
+		})
+	}
+}
+
+// TestReadErrorLineNumbers pins the line an error names, including
+// after a line assembled from several buffer fills.
+func TestReadErrorLineNumbers(t *testing.T) {
+	long := strings.Repeat("A", 70_000)
+	for in, want := range map[string]string{
+		">a\nAC\n\nG>T\n":               "fasta: line 4: '>' inside sequence data",
+		">a\n" + long + "\nAC>\n":       "fasta: line 3: '>' inside sequence data",
+		"\n\nACGT\n":                    "fasta: line 3: sequence data before any '>' header",
+		">a\nAC\n>\nGT\n":               "fasta: line 4: sequence data before any '>' header",
+		">a\r\n\r\n" + long + "\r\n>\t": "fasta: record with empty ID",
+	} {
+		checkAgainstReference(t, in)
+		_, err := ReadAll(strings.NewReader(in))
+		if err == nil || err.Error() != want {
+			t.Errorf("%.12q...: error %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestNextRecordsOwnTheirBytes checks that a record keeps its sequence
+// after later Next calls reuse the Reader's scratch, and that Seq is
+// copied out at its exact size.
+func TestNextRecordsOwnTheirBytes(t *testing.T) {
+	in := ">a\nACGTACGT\nAC\n>b\nTTTTTTTTTTTTTTTT\n>c\nGG\n>d\n" + strings.Repeat("C", 100_000) + "\n"
+	r := NewReader(strings.NewReader(in))
+	var recs []*Record
+	var kept [][]byte
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(rec.Seq) != len(rec.Seq) {
+			t.Errorf("%s: Seq cap %d, len %d", rec.ID, cap(rec.Seq), len(rec.Seq))
+		}
+		recs = append(recs, rec)
+		kept = append(kept, bytes.Clone(rec.Seq))
+	}
+	for i, rec := range recs {
+		if !bytes.Equal(rec.Seq, kept[i]) {
+			t.Errorf("%s: Seq changed after later Next calls", rec.ID)
+		}
+	}
+}

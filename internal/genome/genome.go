@@ -41,7 +41,8 @@ func New(chroms ...Chromosome) *Genome {
 	return g
 }
 
-// FromFasta converts parsed FASTA records into a Genome.
+// FromFasta converts parsed FASTA records into a Genome, decoding each
+// record's bytes into base codes and packed planes in one pass.
 func FromFasta(recs []*fasta.Record) (*Genome, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("genome: no FASTA records")
@@ -53,8 +54,8 @@ func FromFasta(recs []*fasta.Record) (*Genome, error) {
 			return nil, fmt.Errorf("genome: duplicate chromosome name %q", rec.ID)
 		}
 		seen[rec.ID] = true
-		seq, _ := dna.ParseSeq(string(rec.Seq))
-		chroms = append(chroms, Chromosome{Name: rec.ID, Seq: seq})
+		seq, packed := dna.Encode(rec.Seq)
+		chroms = append(chroms, Chromosome{Name: rec.ID, Seq: seq, Packed: packed})
 	}
 	return New(chroms...), nil
 }

@@ -1,7 +1,9 @@
 package genome
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,8 +32,15 @@ func TestFromFasta(t *testing.T) {
 	if g.Chroms[1].Seq.String() != "GG" {
 		t.Error("lower case must normalize")
 	}
-	if g.Chroms[0].Packed == nil {
-		t.Error("packed form must be computed")
+	for _, c := range g.Chroms {
+		if c.Packed == nil {
+			t.Fatal("packed form must be computed")
+		}
+		gw, ga := c.Packed.Words()
+		ww, wa := dna.Pack(c.Seq).Words()
+		if c.Packed.Len() != len(c.Seq) || !slices.Equal(gw, ww) || !slices.Equal(ga, wa) {
+			t.Errorf("%s: packed planes differ from Pack(Seq)", c.Name)
+		}
 	}
 }
 
@@ -270,5 +279,35 @@ func TestRepeatsIncreaseSelfSimilarity(t *testing.T) {
 	repeaty := Synthesize(SynthConfig{Seed: 3, ChromLen: 400_000, RepeatRate: 0.4, RepeatLen: 1000})
 	if count20merDups(repeaty) <= count20merDups(plain) {
 		t.Errorf("repeats should add duplicate 20-mers: %d vs %d", count20merDups(repeaty), count20merDups(plain))
+	}
+}
+
+// BenchmarkLoadFasta times the whole ingest of a 6 Mbp FASTA file in 60
+// column lines with N runs: read, line split, decode and pack.
+func BenchmarkLoadFasta(b *testing.B) {
+	g := Synthesize(SynthConfig{Seed: 1, ChromLen: 1_000_000, NumChroms: 6, NRunRate: 5})
+	path := filepath.Join(b.TempDir(), "g.fa")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := fasta.NewWriter(f, 60)
+	for _, rec := range g.ToFasta() {
+		if err := w.Write(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(g.TotalLen()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadFasta(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -36,9 +36,13 @@ type Phase uint8
 
 // The pipeline stages, in execution order.
 const (
-	// PhaseLoad is input decoding: FASTA parsing and sequence packing
-	// (only the streaming pipeline loads inside the measured region;
-	// in-memory searches load before Search starts and report zero).
+	// PhaseLoad is input decoding: FASTA parsing and sequence packing,
+	// or loading a seed index and rebuilding its genome. The streaming
+	// pipeline charges it per chromosome inside the search. An
+	// in-memory search loads before Search starts, so the caller
+	// charges the load to the recorder it then passes in (offtarget
+	// does, in batch and -index modes); a caller that does not reports
+	// zero.
 	PhaseLoad Phase = iota
 	// PhaseCompile is pattern-set compilation: guide expansion, automata
 	// construction, engine build, device placement.
