@@ -109,7 +109,8 @@ func BenchmarkEngineCasOT(b *testing.B)              { engineBench(b, core.Engin
 func BenchmarkEngineCasOTIndex(b *testing.B)         { engineBench(b, core.EngineCasOTIndex, 20, 2) }
 
 // BenchmarkNFASimulation measures the shared bitset simulator (the
-// functional path of the AP/FPGA models) on a 5-guide network.
+// hyperscan-nfa path and the automata test oracle) on a 5-guide
+// network.
 func BenchmarkNFASimulation(b *testing.B) {
 	w := bench.NewWorkload(200_000, 5, 3, 101)
 	e, err := hscan.New(w.Specs(), hscan.ModeNFA)

@@ -262,3 +262,28 @@ func TestRunReportsLoadPhase(t *testing.T) {
 		})
 	}
 }
+
+// TestRunStatsReportSameForStream pins the shared -stats report: a
+// -stream run of a modeled engine logs the modeled device time and
+// device resources exactly as the batch run does.
+func TestRunStatsReportSameForStream(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 831)
+	dir := t.TempDir()
+	for _, stream := range []bool{false, true} {
+		var logs bytes.Buffer
+		cfg := &config{
+			genomePath: genomePath, guidesPath: guidesPath, k: 2, pam: "NGG", workers: 1,
+			engineName: string(crisprscan.EngineAP), stats: true, stream: stream,
+			outPath: filepath.Join(dir, fmt.Sprintf("stream-%v.tsv", stream)),
+			log:     slog.New(slog.NewTextHandler(&logs, nil)),
+		}
+		if err := run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, msg := range []string{"scan complete", "scan metrics", "modeled device time", "device resources"} {
+			if !strings.Contains(logs.String(), "msg=\""+msg+"\"") {
+				t.Errorf("stream=%v: -stats did not log %q:\n%s", stream, msg, logs.String())
+			}
+		}
+	}
+}

@@ -274,58 +274,8 @@ func TestGoVersionMismatchRegenerates(t *testing.T) {
 	}
 }
 
-// TestMigrateLegacyAllocBaseline imports an allocgate-format baseline:
-// matching escape entries inherit a migration justification, vanished
-// legacy entries are dropped with a notice.
-func TestMigrateLegacyAllocBaseline(t *testing.T) {
-	dir := fixtureModule(t)
-	writeKernel(t, dir, kernelEscape)
-
-	// Build the legacy file from the real current verdicts plus one
-	// stale entry that no longer reproduces.
-	entries, err := perfgate.Collect(dir, map[perfgate.Class]bool{perfgate.ClassEscape: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("escape fixture produced no escape verdicts")
-	}
-	legacy := perfgate.LegacyAllocHeader + "\n"
-	for _, e := range entries {
-		legacy += e.Pkg + " " + e.Func + ": " + e.Message + "\n"
-	}
-	legacy += "fixture.test/perfgate/kernel Gone: make([]byte, n) escapes to heap\n"
-	legacyPath := filepath.Join(dir, "ALLOC_BASELINE.txt")
-	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, errw := gate(t, "-dir", dir, "-migrate", legacyPath)
-	if code != 0 {
-		t.Fatalf("-migrate = %d\n%s", code, errw)
-	}
-	if !strings.Contains(out, "legacy entry resolved, dropped: escape fixture.test/perfgate/kernel Gone") {
-		t.Fatalf("stale legacy entry not reported:\n%s", out)
-	}
-	b, err := perfgate.ReadBaseline(filepath.Join(dir, "PERF_BASELINE.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range b.Entries {
-		if e.Class == perfgate.ClassEscape && !strings.Contains(e.Justification, "migrated from ALLOC_BASELINE.txt") {
-			t.Fatalf("escape entry missing migration justification: %+v", e)
-		}
-	}
-
-	// Migration justifies every escape; the fixture has no inline or
-	// bounds verdicts, so the gate is green immediately.
-	if code, _, errw := gate(t, "-dir", dir, "-compare"); code != 0 {
-		t.Fatalf("post-migration compare = %d\n%s", code, errw)
-	}
-}
-
 // TestClassFilter confirms -class restricts both collection and the
-// gated baseline slice — the contract the allocgate shim relies on.
+// gated baseline slice.
 func TestClassFilter(t *testing.T) {
 	dir := fixtureModule(t)
 	writeKernel(t, dir, kernelBounds)

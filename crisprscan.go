@@ -121,7 +121,7 @@ const (
 	// up-front determinization cost on large pattern sets.
 	EngineHyperscanLazy = core.EngineHyperscanLazy
 	// EngineCasOffinder is the brute-force baseline (measured, CPU);
-	// EngineCasOffinderGPU adds the analytic GPU timing model.
+	// EngineCasOffinderGPU is its analytic GPU timing model.
 	EngineCasOffinder    = core.EngineCasOffinder
 	EngineCasOffinderGPU = core.EngineCasOffinderGPU
 	// EngineCasOT is the single-thread seed-region baseline;
@@ -133,7 +133,9 @@ const (
 	// millions), or let it self-index per chromosome when none is set.
 	EngineSeedIndex = core.EngineSeedIndex
 	// EngineAP, EngineFPGA and EngineInfant are the modeled
-	// accelerator platforms.
+	// accelerator platforms. Every modeled engine runs the
+	// EngineHyperscan scan and prices it with its device cost model
+	// (Stats.Modeled, Stats.Resources).
 	EngineAP     = core.EngineAP
 	EngineFPGA   = core.EngineFPGA
 	EngineInfant = core.EngineInfant

@@ -1,9 +1,12 @@
 // Cross-platform comparison: the paper's headline experiment in
-// miniature. One workload is executed on all six systems — two measured
-// CPU engines (CasOT, the HyperScan-class automata engine) and four
-// modeled accelerators (Cas-OFFinder's GPU, iNFAnt2, FPGA overlay,
-// Micron AP) — and every system must return the identical site count
-// while differing enormously in (modeled or measured) kernel time.
+// miniature. One workload is run on all six systems — two measured CPU
+// engines (CasOT, the HyperScan-class automata engine) and four modeled
+// accelerators (Cas-OFFinder's GPU, iNFAnt2, FPGA overlay, Micron AP).
+// The modeled systems price the HyperScan-class reference scan with a
+// device cost model, so every system returns the identical site count
+// while differing enormously in kernel time. The "host scan" column is
+// the wall-clock of the scan that ran on this machine (the reference
+// scan, for a modeled system); "device est" is the modeled kernel time.
 //
 //	go run ./examples/platforms
 package main
@@ -31,7 +34,7 @@ func main() {
 		crisprscan.EngineAP,
 	}
 
-	fmt.Printf("%-18s %8s %14s %14s %10s\n", "engine", "sites", "measured (s)", "device est (s)", "STEs/LUTs")
+	fmt.Printf("%-18s %8s %14s %14s %10s\n", "engine", "sites", "host scan (s)", "device est (s)", "STEs/LUTs")
 	var refSites int
 	for i, e := range engines {
 		res, err := crisprscan.Search(g, guides, crisprscan.Params{

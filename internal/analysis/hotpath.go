@@ -33,7 +33,7 @@ import (
 // The check is intentionally strict: justified allocations on cold
 // sub-paths (error returns, trace-gated formatting) carry a
 // //crisprlint:allow hotpath directive with the reason inline, so the
-// exceptions are enumerable. cmd/allocgate is the companion gate that
+// exceptions are enumerable. cmd/perfgate is the companion gate that
 // checks the same functions against the compiler's actual escape
 // analysis.
 var HotPath = &Analyzer{
@@ -61,8 +61,8 @@ type HotFunc struct {
 }
 
 // HotFuncs returns the functions in f marked //crisprlint:hotpath.
-// It is exported for cmd/allocgate, which attributes the compiler's
-// escape-analysis verdicts to the same annotation set.
+// It is exported for internal/perfgate, which attributes the
+// compiler's verdicts to the same annotation set.
 func HotFuncs(fset *token.FileSet, f *ast.File) []HotFunc {
 	directiveLines := make(map[int]bool)
 	for _, cg := range f.Comments {

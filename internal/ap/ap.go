@@ -6,13 +6,15 @@
 // map one state to one STE with no translation.
 //
 // Because the hardware no longer exists outside a few labs, this package
-// substitutes (per DESIGN.md) a functional simulator — the shared bitset
-// NFA engine, which implements exactly the AP's execution semantics —
-// plus an analytic timing model driven by the device's published
-// constants: 133 MHz symbol clock (7.5 ns/symbol), 49,152 STEs per chip,
-// 32 chips per board. Kernel time on a real AP is deterministic
-// (symbols x clock x passes, plus output-event stalls), which is what
-// makes the analytic model faithful.
+// substitutes (per DESIGN.md) a cost model: Compile builds and places
+// the automata network the board would run, and EstimateBreakdown
+// prices the reference scan with the device's published constants:
+// 133 MHz symbol clock (7.5 ns/symbol), 49,152 STEs per chip, 32 chips
+// per board. Kernel time on a real AP is deterministic (symbols x clock
+// x passes, plus output-event stalls), which is what makes the analytic
+// model faithful. The sites come from the orchestrator's reference
+// scan; TraceScan runs the placed network through the shared simulator
+// for cycle-level statistics.
 package ap
 
 import (
@@ -20,8 +22,6 @@ import (
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the published AP hardware constants.
@@ -95,18 +95,6 @@ type Model struct {
 	streams int
 	// symbolsPerBase is 1 for stride-1, 0.5 for stride-2.
 	symbolsPerBase float64
-
-	// rec receives scan metrics; the model records its analytic
-	// device-time steps (never wall clock — the model must stay
-	// deterministic, see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time configuration
-// cost is recorded immediately as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds the automata network for the pattern specs and places
@@ -192,7 +180,7 @@ func KernelSeconds(inputLen int, res arch.ResourceUsage, streams int, dev Device
 	return float64(inputLen) * float64(res.Passes) / (dev.SymbolsPerSec * float64(streams))
 }
 
-// Name implements arch.Engine.
+// Name implements arch.Modeled.
 func (m *Model) Name() string {
 	if m.opt.Stride2 {
 		return "ap-stride2"
@@ -208,38 +196,6 @@ func (m *Model) Streams() int { return m.streams }
 
 // NFA exposes the placed automata network (for ANML export and stats).
 func (m *Model) NFA() *automata.NFA { return m.nfa }
-
-// ScanChrom implements arch.Engine: functional execution through the
-// bitset simulator, which is semantics-identical to STE evaluation.
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	sim := automata.NewSim(m.nfa)
-	in := automata.SymbolsOfSeq(c.Seq)
-	reports := 0
-	count := func(r automata.Report) {
-		reports++
-		emit(r)
-	}
-	if m.opt.Stride2 {
-		automata.ScanStride2(sim, in, count)
-	} else {
-		sim.Scan(in, count)
-	}
-	m.recordModeled(len(c.Seq), reports)
-	return nil
-}
-
-// recordModeled accumulates the analytic per-chromosome device-time
-// steps and event counts into the metrics recorder.
-func (m *Model) recordModeled(inputLen, reports int) {
-	if m.rec == nil {
-		return
-	}
-	m.rec.Add(metrics.CounterCandidateWindows, int64(inputLen))
-	b := m.EstimateBreakdown(inputLen, reports)
-	m.rec.AddModeledSeconds("transfer", b.Transfer)
-	m.rec.AddModeledSeconds("kernel", b.Kernel)
-	m.rec.AddModeledSeconds("report", b.Report)
-}
 
 // EstimateBreakdown implements arch.Modeled. The kernel streams
 // inputLen bases (x symbolsPerBase symbols) through the board passes

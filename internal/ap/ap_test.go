@@ -33,12 +33,7 @@ func chromOf(rng *rand.Rand, n int) *genome.Chromosome {
 	return &genome.Chromosome{Name: "t", Seq: seq, Packed: dna.Pack(seq)}
 }
 
-func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Report {
-	t.Helper()
-	var out []automata.Report
-	if err := e.ScanChrom(c, func(r automata.Report) { out = append(out, r) }); err != nil {
-		t.Fatal(err)
-	}
+func sortReports(out []automata.Report) []automata.Report {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].End != out[j].End {
 			return out[i].End < out[j].End
@@ -46,6 +41,30 @@ func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Repor
 		return out[i].Code < out[j].Code
 	})
 	return out
+}
+
+func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Report {
+	t.Helper()
+	var out []automata.Report
+	if err := e.ScanChrom(c, func(r automata.Report) { out = append(out, r) }); err != nil {
+		t.Fatal(err)
+	}
+	return sortReports(out)
+}
+
+// simulate runs the placed network — the automaton the model's resource
+// numbers describe — through the shared simulator, two symbols per step
+// for a stride-2 placement.
+func simulate(m *Model, seq dna.Seq) []automata.Report {
+	var out []automata.Report
+	emit := func(r automata.Report) { out = append(out, r) }
+	sim := automata.NewSim(m.NFA())
+	if m.opt.Stride2 {
+		automata.ScanStride2(sim, automata.SymbolsOfSeq(seq), emit)
+	} else {
+		sim.Scan(automata.SymbolsOfSeq(seq), emit)
+	}
+	return sortReports(out)
 }
 
 func TestFunctionalAgreesWithHscan(t *testing.T) {
@@ -58,7 +77,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 			t.Fatal(err)
 		}
 		hs, _ := hscan.New(specs, hscan.ModeBitap)
-		a := collect(t, m, c)
+		a := simulate(m, c.Seq)
 		b := collect(t, hs, c)
 		if len(a) == 0 {
 			t.Fatal("no matches; weak fixture")

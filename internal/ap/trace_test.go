@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
-	"github.com/cap-repro/crisprscan/internal/genome"
 )
 
 func TestTraceScan(t *testing.T) {
@@ -39,14 +37,9 @@ func TestTraceScan(t *testing.T) {
 	if tr.BusiestWindow > tr.Reports {
 		t.Errorf("window cannot exceed total: %+v", tr)
 	}
-	// The trace's report count must agree with a plain functional scan.
-	count := 0
-	chrom := &genome.Chromosome{Name: "t", Seq: seq, Packed: dna.Pack(seq)}
-	if err := m.ScanChrom(chrom, func(automata.Report) { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	if count != tr.Reports {
-		t.Errorf("trace reports %d != scan reports %d", tr.Reports, count)
+	// The trace's report count must agree with a plain simulator scan.
+	if count := len(simulate(m, seq)); count != tr.Reports {
+		t.Errorf("trace reports %d != simulator reports %d", tr.Reports, count)
 	}
 }
 

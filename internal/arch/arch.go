@@ -5,11 +5,11 @@
 //
 // The paper evaluates six systems. Two baselines (Cas-OFFinder, CasOT)
 // and the automata CPU engine (the HyperScan stand-in) execute for real
-// and are wall-clock measured; the three accelerator platforms (Micron
-// AP, FPGA, iNFAnt2 on GPU) are analytic models whose device constants
-// come from published specifications, executed functionally through the
-// shared automata simulator. Both kinds expose the same interfaces here
-// so the benchmark harness treats them uniformly.
+// and are wall-clock measured. The accelerator platforms (Micron AP,
+// FPGA, iNFAnt2 and Cas-OFFinder on GPU) are cost models only: a
+// Modeled prices the reference scan's input length and event count
+// with device constants from published specifications, and never scans
+// anything itself — a platform can differ in timing, never in matches.
 package arch
 
 import (
@@ -120,8 +120,7 @@ func ScanChrom(ctx context.Context, e Engine, c *genome.Chromosome, emit func(au
 }
 
 // Instrumented is implemented by engines that report execution metrics
-// (counters, per-chunk latency, modeled device-time steps) into a
-// shared recorder. The orchestrator installs its recorder on every
+// (counters, per-chunk latency) into a shared recorder. The orchestrator installs its recorder on every
 // engine that supports it before scanning starts.
 type Instrumented interface {
 	Engine
@@ -272,10 +271,13 @@ func firstScanError(errs []error) error {
 	return ctxErr
 }
 
-// Modeled is implemented by platform models that, in addition to
-// functional execution, predict device timing analytically.
+// Modeled is a platform cost model: it predicts device timing
+// analytically from the work of one reference scan. It is not an
+// Engine; the orchestrator runs the reference scan and charges the
+// model per chromosome.
 type Modeled interface {
-	Engine
+	// Name identifies the modeled platform ("ap", "fpga-stride2", ...).
+	Name() string
 	// EstimateBreakdown predicts the device-time breakdown for scanning
 	// inputLen bases producing reportCount match events.
 	EstimateBreakdown(inputLen, reportCount int) Breakdown

@@ -113,9 +113,9 @@ func MeasureEngine(w *Workload, e arch.Engine) (seconds float64, events int, err
 	return seconds, events, nil
 }
 
-// CountEvents runs the fastest measured engine (parallel bitap) to
-// obtain the event count the accelerator models need, without charging
-// its time to anyone.
+// CountEvents runs the reference scan (the hscan prefilter, eight
+// workers) to obtain the event count the accelerator models need,
+// without charging its time to anyone.
 func CountEvents(w *Workload) (int, error) {
 	e, err := hscan.New(w.Specs(), hscan.ModePrefilter)
 	if err != nil {

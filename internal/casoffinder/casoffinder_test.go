@@ -179,9 +179,6 @@ func TestGPUModel(t *testing.T) {
 	if math.Abs(b3.Kernel-b.Kernel)/b.Kernel > 1e-9 {
 		t.Errorf("brute-force kernel must be k-independent: %g vs %g", b3.Kernel, b.Kernel)
 	}
-	// Functional path still works.
-	c := chromOf(rng, 3000, 0)
-	_ = collect(t, m, c)
 	if m.Name() != "cas-offinder-gpu" {
 		t.Errorf("name = %s", m.Name())
 	}

@@ -1,13 +1,8 @@
 package casoffinder
 
 import (
-	"context"
-
 	"github.com/cap-repro/crisprscan/internal/arch"
-	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // GPUParams describes the OpenCL device the paper ran Cas-OFFinder on.
@@ -42,12 +37,13 @@ var DefaultGPU = GPUParams{
 	ReportCostSec:       2e-7,
 }
 
-// GPUModel wraps an Engine with the analytic device-timing model,
-// implementing arch.Modeled. Functional results come from the wrapped
-// engine (the algorithm is identical on CPU and GPU); timing comes from
-// the model.
+// GPUModel is the analytic device-timing model of Cas-OFFinder on a
+// GPU, implementing arch.Modeled. It is a cost model only: the sites
+// come from the orchestrator's reference scan (the algorithm finds the
+// same sites on CPU and GPU), and the compiled engine is kept solely
+// for its PAM groups and comparison counts.
 type GPUModel struct {
-	*Engine
+	engine *Engine
 	Params GPUParams
 }
 
@@ -57,72 +53,37 @@ func NewGPUModel(specs []arch.PatternSpec, params GPUParams) (*GPUModel, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &GPUModel{Engine: e, Params: params}, nil
+	return &GPUModel{engine: e, Params: params}, nil
 }
 
-// Name implements arch.Engine.
+// Name implements arch.Modeled.
 func (m *GPUModel) Name() string { return "cas-offinder-gpu" }
-
-// SetMetrics implements arch.Instrumented: besides wiring the wrapped
-// functional engine's counters, it records the model's one-time launch
-// overhead as the analytic compile step.
-func (m *GPUModel) SetMetrics(rec *metrics.Recorder) {
-	m.Engine.SetMetrics(rec)
-	rec.SetModeledSeconds("compile", m.Params.LaunchOverheadSec)
-}
-
-// ScanChromContext runs the wrapped functional scan and then records
-// the analytic per-chromosome device-time steps (transfer, kernel,
-// report) into the metrics recorder — the model stays deterministic;
-// no wall clock is read.
-func (m *GPUModel) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	reports := 0
-	err := m.Engine.ScanChromContext(ctx, c, func(r automata.Report) {
-		reports++
-		emit(r)
-	})
-	if err != nil {
-		return err
-	}
-	if rec := m.Engine.rec; rec != nil {
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		rec.AddModeledSeconds("transfer", b.Transfer)
-		rec.AddModeledSeconds("kernel", b.Kernel)
-		rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
-}
-
-// ScanChrom implements arch.Engine via the context-aware path so the
-// modeled step recording is identical on both entry points.
-func (m *GPUModel) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	return m.ScanChromContext(context.Background(), c, emit)
-}
 
 // pamHitRate is the expected fraction of positions passing a group's
 // PAM test under a uniform base distribution, averaged across groups
 // (reverse-complement PAMs give the same product, so mixed strands do
 // not skew the average).
 func (m *GPUModel) pamHitRate() float64 {
-	if len(m.groups) == 0 {
+	groups := m.engine.groups
+	if len(groups) == 0 {
 		return 0
 	}
 	total := 0.0
-	for gi := range m.groups {
+	for gi := range groups {
 		rate := 1.0
-		for _, mask := range m.groups[gi].pam {
+		for _, mask := range groups[gi].pam {
 			rate *= float64(mask.Count()) / dna.AlphabetSize
 		}
 		total += rate
 	}
-	return total / float64(len(m.groups))
+	return total / float64(len(groups))
 }
 
 // EstimateBreakdown implements arch.Modeled. Brute-force work is
 // independent of the mismatch budget (no early-exit modeling), which is
 // exactly why the paper's automata approaches pull ahead as k grows.
 func (m *GPUModel) EstimateBreakdown(inputLen, reportCount int) arch.Breakdown {
-	pamTests, compares := m.Comparisons(inputLen, m.pamHitRate())
+	pamTests, compares := m.engine.Comparisons(inputLen, m.pamHitRate())
 	return arch.Breakdown{
 		Compile:  m.Params.LaunchOverheadSec,
 		Transfer: float64(inputLen) / 4 / m.Params.TransferBytesPerSec, // 2-bit packed

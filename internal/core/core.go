@@ -1,8 +1,9 @@
 // Package core orchestrates the off-target search: it expands guides
 // into both-strand pattern specs, instantiates the requested execution
-// engine (measured CPU engines or modeled accelerator platforms),
-// drives the scan across chromosomes, and resolves events into verified
-// sites. This is the layer the public crisprscan API wraps.
+// engine, drives the scan across chromosomes, and resolves events into
+// verified sites. A modeled accelerator platform runs the reference
+// scan and adds its cost model, charged per chromosome. This is the
+// layer the public crisprscan API wraps.
 package core
 
 import (
@@ -39,7 +40,7 @@ const (
 	EngineHyperscanDFA   EngineKind = "hyperscan-dfa"
 	EngineHyperscanLazy  EngineKind = "hyperscan-lazydfa"
 	// EngineCasOffinder is the measured CPU form of the brute-force
-	// baseline; EngineCasOffinderGPU adds the analytic GPU timing model.
+	// baseline; EngineCasOffinderGPU is its analytic GPU timing model.
 	EngineCasOffinder    EngineKind = "cas-offinder"
 	EngineCasOffinderGPU EngineKind = "cas-offinder-gpu"
 	// EngineCasOT is the measured single-thread baseline;
@@ -52,7 +53,8 @@ const (
 	// self-indexes per chromosome through the identical query path.
 	EngineSeedIndex EngineKind = "seed-index"
 	// EngineAP, EngineFPGA and EngineInfant are the modeled accelerator
-	// platforms.
+	// platforms. Like EngineCasOffinderGPU they run the reference scan
+	// (EngineHyperscan) and report their cost model's device time.
 	EngineAP     EngineKind = "ap"
 	EngineFPGA   EngineKind = "fpga"
 	EngineInfant EngineKind = "infant2"
@@ -140,9 +142,9 @@ func (p *Params) defaults() {
 // Stats describes one search execution.
 type Stats struct {
 	Engine string
-	// ElapsedSec is measured wall-clock for the scan (all engines run
-	// functionally; for modeled platforms this is simulation time, not
-	// device time).
+	// ElapsedSec is measured wall-clock for the scan. For a modeled
+	// platform it is the reference scan's time; the device time is in
+	// Modeled.
 	ElapsedSec float64
 	// Events is the raw match-event count before deduplication.
 	Events int
@@ -191,10 +193,13 @@ func BuildSpecsOriented(guides []dna.Pattern, pam dna.Pattern, k int, plusOnly, 
 	return specs
 }
 
-// NewEngine instantiates the requested engine for the spec set.
+// NewEngine instantiates the requested engine for the spec set. A
+// modeled kind gets the reference engine (the hscan prefilter); its
+// cost model comes from newModel.
 func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine, error) {
 	switch kind {
-	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA, EngineHyperscanLazy:
+	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA, EngineHyperscanLazy,
+		EngineCasOffinderGPU, EngineAP, EngineFPGA, EngineInfant:
 		mode := hscan.ModePrefilter
 		switch kind {
 		case EngineHyperscanBitap:
@@ -214,8 +219,6 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 		return e, nil
 	case EngineCasOffinder:
 		return casoffinder.New(specs, p.Workers)
-	case EngineCasOffinderGPU:
-		return casoffinder.NewGPUModel(specs, casoffinder.DefaultGPU)
 	case EngineCasOT, EngineCasOTIndex:
 		opt := casot.Options{SeedLen: p.SeedLen, MaxSeedMismatches: p.MaxSeedMismatches}
 		if opt.SeedLen == 0 {
@@ -237,6 +240,16 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 		}
 		e.Workers = p.Workers
 		return e, nil
+	}
+	return nil, fmt.Errorf("core: unknown engine %q", kind)
+}
+
+// newModel returns the cost model of a modeled kind, and nil for a
+// measured engine.
+func newModel(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Modeled, error) {
+	switch kind {
+	case EngineCasOffinderGPU:
+		return casoffinder.NewGPUModel(specs, casoffinder.DefaultGPU)
 	case EngineAP:
 		return ap.Compile(specs, ap.Options{MergeStates: p.MergeStates, Stride2: p.Stride2})
 	case EngineFPGA:
@@ -244,7 +257,7 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 	case EngineInfant:
 		return infant.Compile(specs, infant.Options{MergeStates: p.MergeStates})
 	}
-	return nil, fmt.Errorf("core: unknown engine %q", kind)
+	return nil, nil
 }
 
 // engineHook, when non-nil, wraps the freshly built engine before any
@@ -252,28 +265,58 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 // the orchestrator; production code must leave it nil.
 var engineHook func(arch.Engine) arch.Engine
 
-// prepare validates params and builds the engine and resolver shared by
-// Search and SearchStream.
-func prepare(guides []dna.Pattern, p *Params) (arch.Engine, *report.Resolver, error) {
+// search is the state one search carries across chromosomes. Every
+// entry point shares it: SearchContext scans into one collector for
+// the whole genome, the streaming entry points into one per chromosome.
+type search struct {
+	engine   arch.Engine
+	model    arch.Modeled // nil for a measured engine
+	resolver *report.Resolver
+	rec      *metrics.Recorder
+	prog     *metrics.Progress
+	stats    Stats
+}
+
+// newSearch validates params, builds the engine, cost model and
+// resolver, and charges the compile phase (plus, for a modeled kind,
+// the model's one-time compile step).
+func newSearch(guides []dna.Pattern, p *Params) (*search, error) {
+	swCompile := metrics.NewStopwatch()
+	endCompile := p.Metrics.TraceSpan("compile")
+	s, err := prepare(guides, p)
+	endCompile()
+	if err != nil {
+		return nil, err
+	}
+	s.rec.AddPhaseNanos(metrics.PhaseCompile, swCompile.ElapsedNanos())
+	if s.model != nil {
+		s.rec.SetModeledSeconds("compile", s.model.EstimateBreakdown(0, 0).Compile)
+	}
+	return s, nil
+}
+
+// prepare validates params and builds the engine, cost model and
+// resolver; newSearch times it as the compile phase.
+func prepare(guides []dna.Pattern, p *Params) (*search, error) {
 	p.defaults()
 	if len(guides) == 0 {
-		return nil, nil, fmt.Errorf("core: no guides")
+		return nil, fmt.Errorf("core: no guides")
 	}
 	pam, err := dna.ParsePattern(p.PAM)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.MaxMismatches < 0 || p.MaxMismatches > len(guides[0]) {
-		return nil, nil, fmt.Errorf("core: mismatch budget %d out of range", p.MaxMismatches)
+		return nil, fmt.Errorf("core: mismatch budget %d out of range", p.MaxMismatches)
 	}
 	pams := []dna.Pattern{pam}
 	for _, alt := range p.AltPAMs {
 		ap, err := dna.ParsePattern(alt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(ap) != len(pam) {
-			return nil, nil, fmt.Errorf("core: alternative PAM %s length differs from %s", alt, p.PAM)
+			return nil, fmt.Errorf("core: alternative PAM %s length differs from %s", alt, p.PAM)
 		}
 		pams = append(pams, ap)
 	}
@@ -283,7 +326,11 @@ func prepare(guides []dna.Pattern, p *Params) (arch.Engine, *report.Resolver, er
 	}
 	engine, err := NewEngine(p.Engine, specs, *p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	model, err := newModel(p.Engine, specs, *p)
+	if err != nil {
+		return nil, err
 	}
 	// Install the recorder before any test hook wraps the engine: a
 	// fault-injection wrapper must not hide the Instrumented interface.
@@ -293,9 +340,82 @@ func prepare(guides []dna.Pattern, p *Params) (arch.Engine, *report.Resolver, er
 	}
 	resolver, err := report.NewResolverOriented(guides, p.PAM5, pams...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return engine, resolver, nil
+	name := engine.Name()
+	if model != nil {
+		name = model.Name()
+	}
+	return &search{
+		engine:   engine,
+		model:    model,
+		resolver: resolver,
+		rec:      p.Metrics,
+		prog:     p.Progress,
+		//crisprlint:allow statsdiscipline accumulated across methods: Events and BytesScanned in chrom, ElapsedSec in finish
+		stats: Stats{Engine: name},
+	}, nil
+}
+
+// chrom is the one per-chromosome step every entry point runs: it scans c
+// into col, the caller's collector, and charges prefilter and verify
+// time, bytes and events and, for a modeled kind, the model's transfer,
+// kernel and report time. It marks the chromosome started; the caller
+// marks it finished once done with its sites.
+func (s *search) chrom(ctx context.Context, c *genome.Chromosome, col *report.Collector) error {
+	s.prog.StartChrom(c.Name, int64(len(c.Seq)))
+	var addErr error
+	// Event resolution runs inline in the emit callback, so the
+	// chromosome's verify share is measured per event and subtracted
+	// from the scan stopwatch to get the pure prefilter time.
+	var verifyNs int64
+	events := 0
+	endSpan := s.rec.TraceSpan("scan " + c.Name)
+	swScan := metrics.NewStopwatch()
+	err := scanChromSafe(ctx, s.engine, c, func(r automata.Report) {
+		events++
+		t0 := metrics.Now()
+		if e := col.Add(c, r); e != nil && addErr == nil {
+			addErr = e
+		}
+		verifyNs += metrics.Now() - t0
+	})
+	scanNs := swScan.ElapsedNanos()
+	endSpan()
+	s.stats.Events += events
+	if err == nil {
+		err = addErr
+	}
+	if err != nil {
+		return fmt.Errorf("core: chromosome %s: %w", c.Name, err)
+	}
+	s.rec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
+	s.rec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
+	// Bytes are counted here, per completed chromosome — never per
+	// chunk, where overlap regions would double-count (see the
+	// accounting regression tests).
+	s.stats.BytesScanned += len(c.Seq)
+	s.rec.Add(metrics.CounterBytesScanned, int64(len(c.Seq)))
+	if s.model != nil {
+		b := s.model.EstimateBreakdown(len(c.Seq), events)
+		s.rec.AddModeledSeconds("transfer", b.Transfer)
+		s.rec.AddModeledSeconds("kernel", b.Kernel)
+		s.rec.AddModeledSeconds("report", b.Report)
+	}
+	return nil
+}
+
+// finish stamps the elapsed time, the modeled breakdown and resources
+// (modeled kinds only) and the metrics snapshot onto the stats.
+func (s *search) finish(start metrics.Stopwatch) *Stats {
+	s.stats.ElapsedSec = start.Seconds()
+	if s.model != nil {
+		b := s.model.EstimateBreakdown(s.stats.BytesScanned, s.stats.Events)
+		r := s.model.Resources()
+		s.stats.Modeled, s.stats.Resources = &b, &r
+	}
+	s.stats.Metrics = s.rec.Snapshot()
+	return &s.stats
 }
 
 // Search runs the full pipeline and returns verified, deduplicated,
@@ -313,15 +433,10 @@ func Search(g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
 // and stats of the chromosomes completed before the abort, alongside an
 // error wrapping context.Canceled / context.DeadlineExceeded.
 func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
-	swCompile := metrics.NewStopwatch()
-	endCompile := p.Metrics.TraceSpan("compile")
-	engine, resolver, err := prepare(guides, &p)
-	endCompile()
+	s, err := newSearch(guides, &p)
 	if err != nil {
 		return nil, err
 	}
-	rec := p.Metrics
-	rec.AddPhaseNanos(metrics.PhaseCompile, swCompile.ElapsedNanos())
 	offset := 0
 	if p.Region != "" {
 		region, err := ParseRegion(p.Region)
@@ -333,80 +448,41 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 			return nil, err
 		}
 	}
-	col := report.NewCollector(resolver)
-	prog := p.Progress
-	if prog.TotalBytes() == 0 {
+	col := report.NewCollector(s.resolver)
+	if s.prog.TotalBytes() == 0 {
 		// In-memory searches know the exact denominator (after region
 		// slicing); don't override a caller-supplied estimate.
-		prog.SetTotalBytes(int64(g.TotalLen()))
+		s.prog.SetTotalBytes(int64(g.TotalLen()))
 	}
-	prog.SetChromCount(len(g.Chroms))
-	events, bytesScanned := 0, 0
+	s.prog.SetChromCount(len(g.Chroms))
 	start := metrics.NewStopwatch()
-	partial := func(scanErr error) (*Result, error) {
-		endReport := rec.StartPhase(metrics.PhaseReport)
-		sites := col.Sites()
-		if offset != 0 {
-			for i := range sites {
-				sites[i].Pos += offset
-			}
-		}
-		endReport()
-		rec.Add(metrics.CounterSitesEmitted, int64(len(sites)))
-		res := &Result{
-			Sites: sites,
-			Stats: Stats{Engine: engine.Name(), ElapsedSec: start.Seconds(), Events: events, BytesScanned: bytesScanned},
-		}
-		res.Stats.Metrics = rec.Snapshot()
-		return res, scanErr
-	}
+	var scanErr error
 	for ci := range g.Chroms {
 		c := &g.Chroms[ci]
 		if err := ctx.Err(); err != nil {
-			return partial(fmt.Errorf("core: search canceled after %d/%d chromosomes: %w", ci, len(g.Chroms), err))
+			scanErr = fmt.Errorf("core: search canceled after %d/%d chromosomes: %w", ci, len(g.Chroms), err)
+			break
 		}
-		var addErr error
-		// Event resolution runs inline in the emit callback, so the
-		// chromosome's verify share is measured per event and subtracted
-		// from the scan stopwatch to get the pure prefilter time.
-		var verifyNs int64
-		prog.StartChrom(c.Name, int64(len(c.Seq)))
-		endSpan := rec.TraceSpan("scan " + c.Name)
-		swScan := metrics.NewStopwatch()
-		err := scanChromSafe(ctx, engine, c, func(r automata.Report) {
-			events++
-			t0 := metrics.Now()
-			if e := col.Add(c, r); e != nil && addErr == nil {
-				addErr = e
-			}
-			verifyNs += metrics.Now() - t0
-		})
-		scanNs := swScan.ElapsedNanos()
-		endSpan()
-		if err == nil {
-			err = addErr
+		if scanErr = s.chrom(ctx, c, col); scanErr != nil {
+			break
 		}
-		if err != nil {
-			return partial(fmt.Errorf("core: chromosome %s: %w", c.Name, err))
-		}
-		rec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
-		rec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
-		// Bytes are counted here, per completed chromosome — never per
-		// chunk, where overlap regions would double-count (see the
-		// accounting regression tests).
-		bytesScanned += len(c.Seq)
-		rec.Add(metrics.CounterBytesScanned, int64(len(c.Seq)))
-		prog.FinishChrom(c.Name)
+		s.prog.FinishChrom(c.Name)
 	}
-	prog.Finish()
-	res, _ := partial(nil)
-	if m, ok := engine.(arch.Modeled); ok {
-		b := m.EstimateBreakdown(g.TotalLen(), events)
-		r := m.Resources()
-		res.Stats.Modeled = &b
-		res.Stats.Resources = &r
+	if scanErr == nil {
+		s.prog.Finish()
 	}
-	return res, nil
+	// On failure the Result still carries the sites and stats of the
+	// chromosomes completed before it.
+	endReport := s.rec.StartPhase(metrics.PhaseReport)
+	sites := col.Sites()
+	if offset != 0 {
+		for i := range sites {
+			sites[i].Pos += offset
+		}
+	}
+	endReport()
+	s.rec.Add(metrics.CounterSitesEmitted, int64(len(sites)))
+	return &Result{Sites: sites, Stats: *s.finish(start)}, scanErr
 }
 
 // scanChromSafe dispatches one chromosome scan through the ctx-aware

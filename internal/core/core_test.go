@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/dna"
+	"github.com/cap-repro/crisprscan/internal/fpga"
 	"github.com/cap-repro/crisprscan/internal/genome"
 	"github.com/cap-repro/crisprscan/internal/report"
 )
@@ -172,23 +173,56 @@ func TestCasOTSeedConstraintReducesSites(t *testing.T) {
 	}
 }
 
+// TestStride2AndMergeEquivalent checks that the spatial-platform
+// optimizations change the FPGA's price, never its sites: every
+// MergeStates/Stride2 combination returns the plain run's sites, and
+// its Resources and modeled kernel time are those of the FPGA model
+// compiled with the same options.
 func TestStride2AndMergeEquivalent(t *testing.T) {
 	g, guides, _ := plantedFixture(t, 207, 3, 80000, genome.PlantPlan{1: 2, 2: 2})
+	specs := BuildSpecs(guides, dna.MustParsePattern("NGG"), 2, false)
 	base, err := Search(g, guides, Params{MaxMismatches: 2, Engine: EngineFPGA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Search(g, guides, Params{MaxMismatches: 2, Engine: EngineFPGA, MergeStates: true, Stride2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Sites) != len(opt.Sites) {
-		t.Fatalf("optimized FPGA differs: %d vs %d sites", len(opt.Sites), len(base.Sites))
-	}
-	for i := range base.Sites {
-		if base.Sites[i] != opt.Sites[i] {
-			t.Fatalf("site %d differs", i)
+	priced := make(map[fpga.Options]*Stats)
+	for _, opt := range []fpga.Options{{}, {MergeStates: true}, {Stride2: true}, {MergeStates: true, Stride2: true}} {
+		res, err := Search(g, guides, Params{MaxMismatches: 2, Engine: EngineFPGA, MergeStates: opt.MergeStates, Stride2: opt.Stride2})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(base.Sites) != len(res.Sites) {
+			t.Fatalf("%+v: FPGA returned %d sites, plain run %d", opt, len(res.Sites), len(base.Sites))
+		}
+		for i := range base.Sites {
+			if base.Sites[i] != res.Sites[i] {
+				t.Fatalf("%+v: site %d differs", opt, i)
+			}
+		}
+		want, err := fpga.Compile(specs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Engine != want.Name() {
+			t.Errorf("%+v: Stats.Engine = %q, want %q", opt, res.Stats.Engine, want.Name())
+		}
+		if *res.Stats.Resources != want.Resources() {
+			t.Errorf("%+v: Resources = %+v, want %+v", opt, *res.Stats.Resources, want.Resources())
+		}
+		if k, wantK := res.Stats.Modeled.Kernel, want.EstimateBreakdown(res.Stats.BytesScanned, res.Stats.Events).Kernel; k != wantK {
+			t.Errorf("%+v: modeled kernel = %g, want %g", opt, k, wantK)
+		}
+		priced[opt] = &res.Stats
+	}
+	plain := priced[fpga.Options{}]
+	if merged := priced[fpga.Options{MergeStates: true}]; merged.Resources.States >= plain.Resources.States {
+		t.Errorf("MergeStates did not shrink the mapped states: %d vs %d", merged.Resources.States, plain.Resources.States)
+	}
+	if strided := priced[fpga.Options{Stride2: true}]; strided.Resources.States <= plain.Resources.States {
+		t.Errorf("Stride2 did not grow the mapped states: %d vs %d", strided.Resources.States, plain.Resources.States)
+	}
+	if strided := priced[fpga.Options{Stride2: true}]; strided.Modeled.Kernel == plain.Modeled.Kernel {
+		t.Errorf("Stride2 left the modeled kernel time unchanged at %g", plain.Modeled.Kernel)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/cap-repro/crisprscan/internal/arch"
-	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/fasta"
 	"github.com/cap-repro/crisprscan/internal/genome"
@@ -41,110 +39,46 @@ func SearchStream(r io.Reader, guides []dna.Pattern, p Params, yield func(report
 	return SearchStreamContext(context.Background(), r, guides, p, nil, yield)
 }
 
-// streamScan bundles the state one chromosome-at-a-time search carries
-// across chromosomes; SearchStreamContext (FASTA stream) and
-// SearchGenomeStreamContext (resident genome) share it, so both drivers
-// produce byte-identical output for the same reference.
-type streamScan struct {
-	engine   arch.Engine
-	resolver *report.Resolver
-	mrec     *metrics.Recorder
-	prog     *metrics.Progress
-	ctrl     *StreamControl
-	yield    func(report.Site) error
-	stats    *Stats
-}
-
-// newStreamScan compiles the engine and resolver for a streaming-shaped
-// search; the compile phase is charged to the recorder exactly as the
-// in-memory path does.
-func newStreamScan(guides []dna.Pattern, p *Params, ctrl *StreamControl, yield func(report.Site) error) (*streamScan, error) {
+// newStreamSearch is newSearch for the two streaming entry points, which
+// also need a yield callback and a (possibly empty) StreamControl.
+func newStreamSearch(guides []dna.Pattern, p *Params, ctrl *StreamControl, yield func(report.Site) error) (*search, *StreamControl, error) {
 	if yield == nil {
-		return nil, fmt.Errorf("core: nil yield callback")
+		return nil, nil, fmt.Errorf("core: nil yield callback")
 	}
 	if ctrl == nil {
 		ctrl = &StreamControl{}
 	}
-	swCompile := metrics.NewStopwatch()
-	endCompile := p.Metrics.TraceSpan("compile")
-	engine, resolver, err := prepare(guides, p)
-	endCompile()
-	if err != nil {
-		return nil, err
-	}
-	mrec := p.Metrics
-	mrec.AddPhaseNanos(metrics.PhaseCompile, swCompile.ElapsedNanos())
-	return &streamScan{
-		engine:   engine,
-		resolver: resolver,
-		mrec:     mrec,
-		prog:     p.Progress,
-		ctrl:     ctrl,
-		yield:    yield,
-		//crisprlint:allow statsdiscipline accumulated across methods: Events in chrom, BytesScanned/ElapsedSec in finish
-		stats: &Stats{Engine: engine.Name()},
-	}, nil
+	s, err := newSearch(guides, p)
+	return s, ctrl, err
 }
 
-// chrom scans one chromosome, yields its verified sites, and fires the
+// streamChrom runs the shared step over one chromosome into its own
+// collector, yields the chromosome's verified sites, and fires the
 // ChromDone hook. Every site delivered belongs to a fully completed
 // chromosome: an aborted scan yields nothing, which is what makes
 // chromosome-granularity checkpointing sound.
-func (s *streamScan) chrom(ctx context.Context, chrom *genome.Chromosome) error {
-	s.prog.StartChrom(chrom.Name, int64(len(chrom.Seq)))
+func (s *search) streamChrom(ctx context.Context, chrom *genome.Chromosome, ctrl *StreamControl, yield func(report.Site) error) error {
 	col := report.NewCollector(s.resolver)
-	var addErr error
-	// Per-event resolution time is measured inline and subtracted
-	// from the scan stopwatch, as in SearchContext.
-	var verifyNs int64
-	endSpan := s.mrec.TraceSpan("scan " + chrom.Name)
-	swScan := metrics.NewStopwatch()
-	err := scanChromSafe(ctx, s.engine, chrom, func(ev automata.Report) {
-		s.stats.Events++
-		t0 := metrics.Now()
-		if e := col.Add(chrom, ev); e != nil && addErr == nil {
-			addErr = e
-		}
-		verifyNs += metrics.Now() - t0
-	})
-	scanNs := swScan.ElapsedNanos()
-	endSpan()
-	if err == nil {
-		err = addErr
+	if err := s.chrom(ctx, chrom, col); err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("core: chromosome %s: %w", chrom.Name, err)
-	}
-	s.mrec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
-	s.mrec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
-	// Bytes count once per completed chromosome (never per chunk,
-	// where overlap would double-count).
-	s.stats.BytesScanned += len(chrom.Seq)
-	s.mrec.Add(metrics.CounterBytesScanned, int64(len(chrom.Seq)))
-	endReport := s.mrec.StartPhase(metrics.PhaseReport)
+	endReport := s.rec.StartPhase(metrics.PhaseReport)
 	sites := col.Sites()
 	for _, site := range sites {
-		if err := s.yield(site); err != nil {
+		if err := yield(site); err != nil {
 			endReport()
 			return fmt.Errorf("core: yield on %s: %w", chrom.Name, err)
 		}
 	}
 	endReport()
-	s.mrec.Add(metrics.CounterSitesEmitted, int64(len(sites)))
-	if s.ctrl.ChromDone != nil {
-		if err := s.ctrl.ChromDone(chrom.Name, len(sites), int64(s.stats.BytesScanned)); err != nil {
+	s.rec.Add(metrics.CounterSitesEmitted, int64(len(sites)))
+	if ctrl.ChromDone != nil {
+		if err := ctrl.ChromDone(chrom.Name, len(sites), int64(s.stats.BytesScanned)); err != nil {
 			return fmt.Errorf("core: completing %s: %w", chrom.Name, err)
 		}
 	}
 	s.prog.FinishChrom(chrom.Name)
 	return nil
-}
-
-// finish stamps elapsed time and the metrics snapshot onto the stats.
-func (s *streamScan) finish(start metrics.Stopwatch, streamErr error) (*Stats, error) {
-	s.stats.ElapsedSec = start.Seconds()
-	s.stats.Metrics = s.mrec.Snapshot()
-	return s.stats, streamErr
 }
 
 // SearchStreamContext is SearchStream bounded by ctx and tunable with
@@ -154,7 +88,7 @@ func (s *streamScan) finish(start metrics.Stopwatch, streamErr error) (*Stats, e
 // to a fully completed chromosome. On any error the returned Stats is
 // non-nil and describes the work completed before the failure.
 func SearchStreamContext(ctx context.Context, r io.Reader, guides []dna.Pattern, p Params, ctrl *StreamControl, yield func(report.Site) error) (*Stats, error) {
-	s, err := newStreamScan(guides, &p, ctrl, yield)
+	s, ctrl, err := newStreamSearch(guides, &p, ctrl, yield)
 	if err != nil {
 		return nil, err
 	}
@@ -163,11 +97,11 @@ func SearchStreamContext(ctx context.Context, r io.Reader, guides []dna.Pattern,
 	seen := make(map[string]bool)
 	for {
 		if err := ctx.Err(); err != nil {
-			return s.finish(start, fmt.Errorf("core: stream search canceled after %d chromosomes: %w", len(seen), err))
+			return s.finish(start), fmt.Errorf("core: stream search canceled after %d chromosomes: %w", len(seen), err)
 		}
 		// The streaming pipeline decodes inside the measured region, so
 		// FASTA parsing and sequence packing are charged to PhaseLoad.
-		endLoad := s.mrec.StartPhase(metrics.PhaseLoad)
+		endLoad := s.rec.StartPhase(metrics.PhaseLoad)
 		rec, err := fr.Next()
 		if err == io.EOF {
 			endLoad()
@@ -175,26 +109,26 @@ func SearchStreamContext(ctx context.Context, r io.Reader, guides []dna.Pattern,
 		}
 		if err != nil {
 			endLoad()
-			return s.finish(start, fmt.Errorf("core: reading genome stream: %w", err))
+			return s.finish(start), fmt.Errorf("core: reading genome stream: %w", err)
 		}
 		if seen[rec.ID] {
 			endLoad()
-			return s.finish(start, fmt.Errorf("core: duplicate chromosome %q in stream", rec.ID))
+			return s.finish(start), fmt.Errorf("core: duplicate chromosome %q in stream", rec.ID)
 		}
 		seen[rec.ID] = true
-		if s.ctrl.SkipChrom != nil && s.ctrl.SkipChrom(rec.ID) {
+		if ctrl.SkipChrom != nil && ctrl.SkipChrom(rec.ID) {
 			endLoad()
 			continue
 		}
 		seq, packed := dna.Encode(rec.Seq)
 		chrom := genome.Chromosome{Name: rec.ID, Seq: seq, Packed: packed}
 		endLoad()
-		if err := s.chrom(ctx, &chrom); err != nil {
-			return s.finish(start, err)
+		if err := s.streamChrom(ctx, &chrom, ctrl, yield); err != nil {
+			return s.finish(start), err
 		}
 	}
 	s.prog.Finish()
-	return s.finish(start, nil)
+	return s.finish(start), nil
 }
 
 // SearchGenomeStreamContext runs the streaming-shaped search over an
@@ -210,7 +144,7 @@ func SearchGenomeStreamContext(ctx context.Context, g *genome.Genome, guides []d
 	if g == nil {
 		return nil, fmt.Errorf("core: nil genome")
 	}
-	s, err := newStreamScan(guides, &p, ctrl, yield)
+	s, ctrl, err := newStreamSearch(guides, &p, ctrl, yield)
 	if err != nil {
 		return nil, err
 	}
@@ -218,15 +152,15 @@ func SearchGenomeStreamContext(ctx context.Context, g *genome.Genome, guides []d
 	for i := range g.Chroms {
 		chrom := &g.Chroms[i]
 		if err := ctx.Err(); err != nil {
-			return s.finish(start, fmt.Errorf("core: stream search canceled after %d chromosomes: %w", i, err))
+			return s.finish(start), fmt.Errorf("core: stream search canceled after %d chromosomes: %w", i, err)
 		}
-		if s.ctrl.SkipChrom != nil && s.ctrl.SkipChrom(chrom.Name) {
+		if ctrl.SkipChrom != nil && ctrl.SkipChrom(chrom.Name) {
 			continue
 		}
-		if err := s.chrom(ctx, chrom); err != nil {
-			return s.finish(start, err)
+		if err := s.streamChrom(ctx, chrom, ctrl, yield); err != nil {
+			return s.finish(start), err
 		}
 	}
 	s.prog.Finish()
-	return s.finish(start, nil)
+	return s.finish(start), nil
 }

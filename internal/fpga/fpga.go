@@ -7,10 +7,11 @@
 // parallel. The device constants default to a Kintex UltraScale KU115,
 // the part REAPR-class overlays were published on.
 //
-// As with the AP, the hardware is substituted (DESIGN.md): functional
-// behavior comes from the shared NFA simulator, timing from the clocked
-// analytic model — which is faithful because a spatial automata pipeline
-// has data-independent throughput.
+// As with the AP, the hardware is substituted (DESIGN.md) by a cost
+// model: Compile builds and maps the network the overlay would run, and
+// EstimateBreakdown prices the orchestrator's reference scan with the
+// clocked analytic model — which is faithful because a spatial automata
+// pipeline has data-independent throughput.
 package fpga
 
 import (
@@ -18,8 +19,6 @@ import (
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the FPGA part and board constants.
@@ -77,17 +76,6 @@ type Model struct {
 	res            arch.ResourceUsage
 	streams        int
 	symbolsPerBase float64
-
-	// rec receives scan metrics; the model records analytic device-time
-	// steps only (no wall clock — see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time synthesis cost
-// is recorded immediately as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds and maps the automata network.
@@ -159,7 +147,7 @@ func (m *Model) place() {
 	}
 }
 
-// Name implements arch.Engine.
+// Name implements arch.Modeled.
 func (m *Model) Name() string {
 	if m.opt.Stride2 {
 		return "fpga-stride2"
@@ -179,30 +167,6 @@ func (m *Model) NFA() *automata.NFA { return m.nfa }
 // LUTsUsed reports the fabric demand of one design copy.
 func (m *Model) LUTsUsed() int {
 	return int(float64(m.res.States) * m.opt.Device.LUTsPerState)
-}
-
-// ScanChrom implements arch.Engine (functional path).
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	sim := automata.NewSim(m.nfa)
-	in := automata.SymbolsOfSeq(c.Seq)
-	reports := 0
-	count := func(r automata.Report) {
-		reports++
-		emit(r)
-	}
-	if m.opt.Stride2 {
-		automata.ScanStride2(sim, in, count)
-	} else {
-		sim.Scan(in, count)
-	}
-	if m.rec != nil {
-		m.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		m.rec.AddModeledSeconds("transfer", b.Transfer)
-		m.rec.AddModeledSeconds("kernel", b.Kernel)
-		m.rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
 }
 
 // EstimateBreakdown implements arch.Modeled.

@@ -1,12 +1,14 @@
 // Package hscan is the study's CPU automata engine — the stand-in for
 // Intel HyperScan. Like HyperScan it is a hybrid: the default execution
-// path is a bit-parallel simulation of the mismatch automaton (the
-// Wu–Manber/bitap formulation, one 64-bit word per mismatch row, which is
-// exactly the Hamming-lattice NFA evaluated breadth-first in registers),
-// with alternative NFA-bitset and DFA-table paths selectable for
-// comparison. It executes for real and is wall-clock measured; the paper
-// measured single-thread HyperScan, and this engine is likewise
-// single-threaded unless Parallelism > 1.
+// path (ModePrefilter) scans the packed genome once for the shared PAM
+// literal and confirms each candidate with the pattern's anchored
+// mismatch automaton, evaluated bit-parallel. Alternative paths — the
+// unanchored bit-parallel automaton (bitap), the NFA bitset simulator,
+// and full and lazy DFA tables — are selectable for comparison. It
+// executes for real and is wall-clock measured; the paper measured
+// single-thread HyperScan, and this engine is likewise single-threaded
+// unless Parallelism > 1. Its prefilter path is also the reference scan
+// the modeled platforms price.
 package hscan
 
 import (

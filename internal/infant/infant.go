@@ -11,12 +11,13 @@
 // guide active at all times, and the frontier work dwarfs the symbol
 // rate. Multiple thread blocks scan independent input slices.
 //
-// Functional behavior comes from the shared NFA simulator; timing comes
-// from the cost model below, whose per-transition and per-symbol
-// constants are set so a small-frontier workload approaches published
-// iNFAnt2 throughput (~1 Gbps-class on a mid-2010s discrete GPU) and
-// degrade linearly with frontier size. The average frontier is not
-// assumed: Compile measures it by simulating a seeded sample input.
+// The package is a cost model: the sites come from the orchestrator's
+// reference scan, and EstimateBreakdown prices it with per-transition
+// and per-symbol constants set so a small-frontier workload approaches
+// published iNFAnt2 throughput (~1 Gbps-class on a mid-2010s discrete
+// GPU) and degrades linearly with frontier size. The average frontier
+// is not assumed: Compile measures it by running the shared NFA
+// simulator over a seeded sample input.
 package infant
 
 import (
@@ -26,8 +27,6 @@ import (
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
-	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Device holds the GPU model constants.
@@ -84,17 +83,6 @@ type Model struct {
 	// avgFanout is the mean out-degree, converting frontier size to
 	// transition-list work.
 	avgFanout float64
-
-	// rec receives scan metrics; the model records analytic device-time
-	// steps only (no wall clock — see the clockguard analyzer).
-	rec *metrics.Recorder
-}
-
-// SetMetrics implements arch.Instrumented. The one-time transition
-// table build/upload cost is recorded as the modeled compile step.
-func (m *Model) SetMetrics(rec *metrics.Recorder) {
-	m.rec = rec
-	rec.SetModeledSeconds("compile", m.EstimateBreakdown(0, 0).Compile)
 }
 
 // Compile builds the union automaton and measures its frontier.
@@ -151,7 +139,7 @@ func (m *Model) measureFrontier() {
 	}
 }
 
-// Name implements arch.Engine.
+// Name implements arch.Modeled.
 func (m *Model) Name() string { return "infant2" }
 
 // AvgFrontier reports the measured mean active-state count (E-series
@@ -164,23 +152,6 @@ func (m *Model) NFA() *automata.NFA { return m.nfa }
 // Resources implements arch.Modeled; the transition table is memory,
 // not fabric, so spatial usage is empty.
 func (m *Model) Resources() arch.ResourceUsage { return arch.ResourceUsage{} }
-
-// ScanChrom implements arch.Engine (functional path).
-func (m *Model) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	reports := 0
-	automata.NewSim(m.nfa).Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) {
-		reports++
-		emit(r)
-	})
-	if m.rec != nil {
-		m.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		b := m.EstimateBreakdown(len(c.Seq), reports)
-		m.rec.AddModeledSeconds("transfer", b.Transfer)
-		m.rec.AddModeledSeconds("kernel", b.Kernel)
-		m.rec.AddModeledSeconds("report", b.Report)
-	}
-	return nil
-}
 
 // EstimateBreakdown implements arch.Modeled: per-block fixed symbol
 // cost (the serialization term) plus aggregate transition work.

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
-// This file holds the three gate modes shared by cmd/perfgate and the
-// deprecated cmd/allocgate shim. Each returns a process exit code and
-// reports through the injected writers (never the terminal directly —
-// the logdiscipline invariant holds for gate engines too).
+// This file holds the gate modes behind cmd/perfgate. Each returns a
+// process exit code and reports through the injected writers (never the
+// terminal directly — the logdiscipline invariant holds for gate
+// engines too).
 
 // Update regenerates the baseline at path from the current verdicts of
 // all three classes, carrying over the written justification of every
@@ -62,11 +61,7 @@ func Compare(dir, path string, classes map[Class]bool, stdout, stderr io.Writer)
 		fmt.Fprintf(stderr, "perfgate: %v\n", err)
 		return 1
 	}
-	if base.GoVersion == "" {
-		// A legacy allocgate baseline carries no pin: compare anyway
-		// (its historic behavior) rather than regenerating over it.
-		fmt.Fprintf(stderr, "perfgate: %s has no toolchain pin (legacy schema); comparing against %s diagnostics without a pin guarantee\n", path, version)
-	} else if base.GoVersion != version {
+	if base.GoVersion != version {
 		fmt.Fprintf(stderr, "perfgate: baseline pinned to %q but toolchain is %q; regenerating instead of comparing (compiler diagnostics are not stable across Go releases)\n",
 			base.GoVersion, version)
 		entries, err := Collect(dir, nil)
@@ -111,57 +106,4 @@ func Compare(dir, path string, classes map[Class]bool, stdout, stderr io.Writer)
 		fmt.Fprintf(stdout, "perfgate: clean against %s (%d baselined verdicts)\n", path, len(gated.Entries))
 	}
 	return code
-}
-
-// Migrate imports a legacy allocgate baseline: the current verdicts
-// become the new baseline at path, and every escape entry the legacy
-// file already accepted inherits a migration justification. Legacy
-// entries no longer observed are reported as resolved and dropped.
-func Migrate(dir, path, legacyPath string, stdout, stderr io.Writer) int {
-	legacy, err := ReadBaseline(legacyPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfgate: %v\n", err)
-		return 1
-	}
-	entries, err := Collect(dir, nil)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfgate: %v\n", err)
-		return 1
-	}
-	version, err := GoVersion(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfgate: %v\n", err)
-		return 1
-	}
-	legacyKeys := make(map[string]bool, len(legacy.Entries))
-	for _, e := range legacy.Entries {
-		legacyKeys[e.Key()] = true
-	}
-	migrated := 0
-	curKeys := make(map[string]bool, len(entries))
-	for i := range entries {
-		curKeys[entries[i].Key()] = true
-		if legacyKeys[entries[i].Key()] {
-			entries[i].Justification = "migrated from " + filepath.Base(legacyPath) + ": accepted by allocgate's escape budget"
-			migrated++
-		}
-	}
-	for _, e := range legacy.Entries {
-		if !curKeys[e.Key()] {
-			fmt.Fprintf(stdout, "perfgate: legacy entry resolved, dropped: %s\n", e.Key())
-		}
-	}
-	if prior, err := ReadBaseline(path); err == nil {
-		entries = PreserveJustifications(prior, entries)
-	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(stderr, "perfgate: %v\n", err)
-		return 1
-	}
-	if err := WriteBaseline(path, &Baseline{GoVersion: version, Entries: entries}); err != nil {
-		fmt.Fprintf(stderr, "perfgate: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "perfgate: wrote %s (%d entries, %d justified by migration from %s); justify the rest, then delete %s\n",
-		path, len(entries), migrated, legacyPath, legacyPath)
-	return 0
 }

@@ -1,9 +1,9 @@
 // Package perfgate is the compiler-feedback performance gate for the
-// scan kernels: the engine behind cmd/perfgate (and the deprecated
-// cmd/allocgate shim). The source-level analyzers (hotpath, boundshint,
-// loopinvariant) explain *why* a kernel should miss an optimization;
-// perfgate closes the loop with the compiler's own verdicts. It builds
-// every package containing a //crisprlint:hotpath directive with
+// scan kernels: the engine behind cmd/perfgate. The source-level
+// analyzers (hotpath, boundshint, loopinvariant) explain *why* a kernel
+// should miss an optimization; perfgate closes the loop with the
+// compiler's own verdicts. It builds every package containing a
+// //crisprlint:hotpath directive with
 //
 //	go build -gcflags='<pkg>=-m=2 -d=ssa/check_bce/debug=1' <pkg>
 //
@@ -52,10 +52,6 @@ import (
 // SchemaHeader is the first line of a perfgate baseline.
 const SchemaHeader = "# perfgate compiler-feedback baseline, schema v1"
 
-// LegacyAllocHeader is the first line of the PR-4 allocgate baseline
-// format, accepted read-only for -migrate and the allocgate shim.
-const LegacyAllocHeader = "# allocgate escape baseline, schema v1"
-
 // TODOJustification marks an entry whose justification has not been
 // written yet; Unjustified treats it the same as an empty one.
 const TODOJustification = "TODO: justify"
@@ -65,7 +61,7 @@ type Class string
 
 const (
 	// ClassEscape covers heap-escape verdicts ("escapes to heap",
-	// "moved to heap") — the budget cmd/allocgate used to gate alone.
+	// "moved to heap").
 	ClassEscape Class = "escape"
 	// ClassInline covers inlining decisions ("cannot inline ...").
 	ClassInline Class = "inline"
@@ -354,10 +350,8 @@ func WriteBaseline(path string, b *Baseline) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadBaseline parses a baseline file, enforcing the schema header. A
-// legacy allocgate baseline is accepted and converted: its entries
-// become escape-class entries (duplicates fold into counts) with no
-// justification and no toolchain pin.
+// ReadBaseline parses a baseline file, enforcing the schema header and
+// the "# go:" toolchain pin.
 func ReadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -366,13 +360,6 @@ func ReadBaseline(path string) (*Baseline, error) {
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	if len(lines) == 0 {
 		return nil, fmt.Errorf("%s: empty baseline", path)
-	}
-	if lines[0] == LegacyAllocHeader {
-		entries, err := parseLegacyAlloc(path, lines[1:])
-		if err != nil {
-			return nil, err
-		}
-		return &Baseline{Entries: entries}, nil
 	}
 	if lines[0] != SchemaHeader {
 		return nil, fmt.Errorf("%s: missing or unsupported schema header (want %q)", path, SchemaHeader)
@@ -392,6 +379,9 @@ func ReadBaseline(path string) (*Baseline, error) {
 			return nil, fmt.Errorf("%s:%d: %w", path, i+2, err)
 		}
 		b.Entries = append(b.Entries, e)
+	}
+	if b.GoVersion == "" {
+		return nil, fmt.Errorf("%s: missing \"# go: <version>\" toolchain pin", path)
 	}
 	return b, nil
 }
@@ -432,41 +422,6 @@ func parseEntry(line string) (Entry, error) {
 		Count:         count,
 		Justification: strings.TrimSpace(parts[2]),
 	}, nil
-}
-
-// parseLegacyAlloc converts PR-4 allocgate lines ("pkg func: message",
-// a multiset) into escape entries with counts.
-func parseLegacyAlloc(path string, lines []string) ([]Entry, error) {
-	counts := make(map[string]*Entry)
-	for i, l := range lines {
-		l = strings.TrimSpace(l)
-		if l == "" || strings.HasPrefix(l, "#") {
-			continue
-		}
-		sp := strings.IndexByte(l, ' ')
-		colon := strings.Index(l, ": ")
-		if sp < 0 || colon < sp {
-			return nil, fmt.Errorf("%s:%d: malformed allocgate entry %q", path, i+2, l)
-		}
-		e := Entry{
-			Class:   ClassEscape,
-			Pkg:     l[:sp],
-			Func:    l[sp+1 : colon],
-			Message: l[colon+2:],
-			Count:   1,
-		}
-		if prev, ok := counts[e.Key()]; ok {
-			prev.Count++
-		} else {
-			counts[e.Key()] = &e
-		}
-	}
-	entries := make([]Entry, 0, len(counts))
-	for _, e := range counts {
-		entries = append(entries, *e)
-	}
-	SortEntries(entries)
-	return entries, nil
 }
 
 // Unjustified returns the baseline entries with no written

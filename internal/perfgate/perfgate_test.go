@@ -77,38 +77,22 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestReadBaselineRejectsBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.txt")
-	if err := os.WriteFile(path, []byte("# some other file\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(path); err == nil || !strings.Contains(err.Error(), "schema header") {
-		t.Fatalf("want schema-header error, got %v", err)
-	}
-}
-
-func TestReadBaselineLegacyAllocFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ALLOC_BASELINE.txt")
-	legacy := LegacyAllocHeader + "\n" +
-		"# a comment\n" +
-		"example.com/m/k (*E).Scan.func: func literal escapes to heap\n" +
-		"example.com/m/k (*E).Scan.func: func literal escapes to heap\n" +
-		"example.com/m/k (*E).Scan: make([]bool, n) escapes to heap\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GoVersion != "" {
-		t.Fatalf("legacy baseline carries no toolchain pin, got %q", b.GoVersion)
-	}
-	want := []Entry{
-		{Class: ClassEscape, Pkg: "example.com/m/k", Func: "(*E).Scan", Message: "make([]bool, n) escapes to heap", Count: 1},
-		{Class: ClassEscape, Pkg: "example.com/m/k", Func: "(*E).Scan.func", Message: "func literal escapes to heap", Count: 2},
-	}
-	if !reflect.DeepEqual(b.Entries, want) {
-		t.Fatalf("legacy conversion:\n got %+v\nwant %+v", b.Entries, want)
+	for name, tc := range map[string]struct{ data, want string }{
+		"other file": {"# some other file\n", "schema header"},
+		"legacy allocgate": {"# allocgate escape baseline, schema v1\n" +
+			"example.com/m/k (*E).Scan: make([]bool, n) escapes to heap\n", "schema header"},
+		// Only the legacy format lacked a toolchain pin; a schema-v1
+		// file without one is malformed.
+		"no go pin": {SchemaHeader + "\n" +
+			"escape p F: moved to heap: s | x1 | kernel state\n", "toolchain pin"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.txt")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBaseline(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want %q error, got %v", name, tc.want, err)
+		}
 	}
 }
 

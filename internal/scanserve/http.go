@@ -15,7 +15,7 @@ import (
 )
 
 // maxSubmitBytes bounds a job-submission body; a spec is a few guides
-// and scalar knobs, never megabytes.
+// and scalar knobs, never megabytes. A larger body is refused with 413.
 const maxSubmitBytes = 1 << 20
 
 // tenantHeader names the submitting tenant; absent means "default".
@@ -69,9 +69,14 @@ func retryAfterSeconds(d float64) string {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(io.LimitReader(req.Body, maxSubmitBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}

@@ -172,6 +172,17 @@ func TestHTTPBackpressureAndErrors(t *testing.T) {
 		t.Fatalf("no-guides spec = %d, want 400", resp.StatusCode)
 	}
 
+	// A body over the 1 MiB limit → 413, not a truncated-JSON 400.
+	huge := `{"guides":[{"spacer":"` + strings.Repeat("A", maxSubmitBytes) + `"}]}`
+	hr, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d, want 413", hr.StatusCode)
+	}
+
 	// Fill the worker and the queue, then overload → 429 + Retry-After.
 	resp, first := postJob(t, srv.URL, "", oneGuide())
 	if resp.StatusCode != http.StatusAccepted {

@@ -737,16 +737,18 @@ func (s *Service) requeueForResume(id string) {
 	s.drainedReq.Add(1)
 }
 
-// finish records a terminal state. The trace is sealed before the
-// terminal state is published, so a client that has observed a
-// terminal record never reads a still-open root span (or a missing
-// per-job trace file) from /debug/trace.
+// finish records a terminal state. The trace is sealed and the
+// finished counter bumped before the terminal state is published, so a
+// client that has observed a terminal record never reads a still-open
+// root span (or a missing per-job trace file) from /debug/trace, nor a
+// /metrics scrape that has not counted the job.
 func (s *Service) finish(id string, st State, cause error) {
 	retries := 0
 	if job, ok := s.store.get(id); ok {
 		retries = job.Retries
 	}
 	s.sealTrace(id, st, retries)
+	s.finished[terminalIndex(st)].Add(1)
 	_, err := s.store.update(id, func(j *Job) {
 		j.State = st
 		if cause != nil {
@@ -760,7 +762,6 @@ func (s *Service) finish(id string, st State, cause error) {
 	if err != nil {
 		s.log.Error("persisting terminal state", "job", id, "state", st, "err", err)
 	}
-	s.finished[terminalIndex(st)].Add(1)
 }
 
 // attempt executes one scan attempt under panic isolation and the
