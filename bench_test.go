@@ -17,6 +17,7 @@ import (
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/bench"
+	"github.com/cap-repro/crisprscan/internal/casot"
 	"github.com/cap-repro/crisprscan/internal/core"
 	"github.com/cap-repro/crisprscan/internal/dfa"
 	"github.com/cap-repro/crisprscan/internal/hscan"
@@ -86,11 +87,16 @@ func BenchmarkE13SeedIndexBlowup(b *testing.B) { runExperiment(b, "13") }
 func engineBench(b *testing.B, kind core.EngineKind, guides, k int) {
 	b.Helper()
 	w := bench.NewWorkload(1_000_000, guides, k, 99)
-	specs := w.Specs()
-	e, err := core.NewEngine(kind, specs, core.Params{MaxMismatches: k, Workers: 1})
+	e, err := core.NewEngine(kind, w.Specs(), core.Params{MaxMismatches: k, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	scanBench(b, w, e)
+}
+
+// scanBench times full-genome scans of w by e.
+func scanBench(b *testing.B, w *bench.Workload, e arch.Engine) {
+	b.Helper()
 	b.SetBytes(int64(w.Genome.TotalLen()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,10 +109,30 @@ func engineBench(b *testing.B, kind core.EngineKind, guides, k int) {
 }
 
 func BenchmarkEngineHyperscanPrefilter(b *testing.B) { engineBench(b, core.EngineHyperscan, 20, 3) }
-func BenchmarkEngineHyperscanBitap(b *testing.B)     { engineBench(b, core.EngineHyperscanBitap, 20, 3) }
 func BenchmarkEngineCasOffinderCPU(b *testing.B)     { engineBench(b, core.EngineCasOffinder, 20, 3) }
 func BenchmarkEngineCasOT(b *testing.B)              { engineBench(b, core.EngineCasOT, 20, 3) }
-func BenchmarkEngineCasOTIndex(b *testing.B)         { engineBench(b, core.EngineCasOTIndex, 20, 2) }
+
+// BenchmarkHyperscanBitap measures the bitap path (E4's
+// generic-automaton comparator and the fallback for guides the
+// prefilter cannot compile) on the engine benchmarks' workload.
+func BenchmarkHyperscanBitap(b *testing.B) {
+	w := bench.NewWorkload(1_000_000, 20, 3, 99)
+	e, err := hscan.New(w.Specs(), hscan.ModeBitap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scanBench(b, w, e)
+}
+
+// BenchmarkCasOTIndex measures CasOT's seed-index variant (E13).
+func BenchmarkCasOTIndex(b *testing.B) {
+	w := bench.NewWorkload(1_000_000, 20, 2, 99)
+	e, err := casot.NewIndex(w.Specs(), casot.Options{SeedLen: 12, MaxSeedMismatches: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scanBench(b, w, e)
+}
 
 // BenchmarkNFASimulation measures the shared bitset simulator (the
 // hyperscan-nfa path and the automata test oracle) on a 5-guide
@@ -117,33 +143,7 @@ func BenchmarkNFASimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(w.Genome.TotalLen()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ci := range w.Genome.Chroms {
-			if err := e.ScanChrom(&w.Genome.Chroms[ci], func(automata.Report) {}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkDFAScan measures the table-driven DFA path on one guide.
-func BenchmarkDFAScan(b *testing.B) {
-	w := bench.NewWorkload(1_000_000, 1, 2, 102)
-	e, err := hscan.New(w.Specs(), hscan.ModeDFA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(w.Genome.TotalLen()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ci := range w.Genome.Chroms {
-			if err := e.ScanChrom(&w.Genome.Chroms[ci], func(automata.Report) {}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	scanBench(b, w, e)
 }
 
 // BenchmarkSubsetConstruction measures determinization of a k=3 guide

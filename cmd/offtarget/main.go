@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -317,11 +318,20 @@ func run(ctx context.Context, cfg *config) (err error) {
 		if terr != nil {
 			return terr
 		}
-		tracer := crisprscan.NewChromeTracer(tf)
+		tracer := crisprscan.NewTracer()
+		// A scan opens one span per 64K-position chunk; a whole genome
+		// must drop none of them.
+		tracer.SetMaxSpans(math.MaxInt)
 		params.Metrics.SetTracer(tracer)
 		defer func() {
-			if cerr := tracer.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("finalizing trace: %w", cerr)
+			tracer.Root().End()
+			tw := bufio.NewWriter(tf)
+			werr := tracer.WriteChrome(tw)
+			if werr == nil {
+				werr = tw.Flush()
+			}
+			if werr != nil && err == nil {
+				err = fmt.Errorf("writing trace: %w", werr)
 			}
 			if cerr := tf.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("closing %s: %w", cfg.tracePath, cerr)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -285,5 +286,59 @@ func TestRunStatsReportSameForStream(t *testing.T) {
 				t.Errorf("stream=%v: -stats did not log %q:\n%s", stream, msg, logs.String())
 			}
 		}
+	}
+}
+
+// TestRunTraceKeepsEveryChunkSpan pins that batch -trace lifts the
+// tracer's span budget: a genome of 2100 short chromosomes opens a scan
+// span and a chunk span per chromosome, over 4096 spans in all, and the
+// Chrome timeline still holds every one.
+func TestRunTraceKeepsEveryChunkSpan(t *testing.T) {
+	const chroms = 2100
+	dir := t.TempDir()
+	var fa bytes.Buffer
+	fw := fasta.NewWriter(&fa, 60)
+	g := crisprscan.SynthesizeGenome(crisprscan.SynthConfig{Seed: 841, ChromLen: 60, NumChroms: chroms})
+	for _, rec := range g.ToFasta() {
+		if err := fw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	genomePath := filepath.Join(dir, "genome.fa")
+	if err := os.WriteFile(genomePath, fa.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := &config{
+		genomePath: genomePath, guideSeq: "ACGTACGTACGTACGTACGT", k: 1, pam: "NGG", workers: 1,
+		outPath: filepath.Join(dir, "sites.tsv"), tracePath: filepath.Join(dir, "trace.json"),
+		log: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+	if err := run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	var scans, chunks int
+	for _, ev := range events {
+		switch {
+		case strings.Contains(ev.Name, " chunk "):
+			chunks++
+		case strings.HasPrefix(ev.Name, "scan "):
+			scans++
+		}
+	}
+	if scans != chroms || chunks != chroms {
+		t.Fatalf("trace holds %d scan and %d chunk spans, want %d of each", scans, chunks, chroms)
 	}
 }

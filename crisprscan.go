@@ -9,8 +9,10 @@
 // exactly matched PAM, both strands) and executes it on a selectable
 // platform: measured CPU engines (the HyperScan-class bit-parallel
 // engine and the Cas-OFFinder/CasOT baselines) or modeled accelerators
-// (Micron AP, FPGA overlay, iNFAnt2-style GPU). All engines return the
-// identical site set; they differ only in performance.
+// (Micron AP, FPGA overlay, iNFAnt2-style GPU). Every engine that
+// accepts the guides returns the identical site set; they differ only
+// in performance. Cas-OFFinder refuses partially degenerate spacer
+// positions and spacers over 32 nt.
 //
 // Quick start:
 //
@@ -65,13 +67,13 @@ type MetricsRecorder = metrics.Recorder
 // Stats.Metrics; all fields serialize to stable JSON.
 type MetricsSnapshot = metrics.Snapshot
 
-// Tracer receives span start/end callbacks from an instrumented search;
-// attach one with MetricsRecorder.SetTracer.
-type Tracer = metrics.Tracer
-
-// ChromeTracer renders spans in the Chrome trace-event JSON format
-// (chrome://tracing, Perfetto, speedscope). See NewChromeTracer.
-type ChromeTracer = metrics.ChromeTracer
+// Tracer records an instrumented search's span tree: phases,
+// per-chromosome scans and worker chunks. Attach one with
+// MetricsRecorder.SetTracer; after the search, WriteChrome renders it
+// in the Chrome trace-event JSON format (chrome://tracing, Perfetto,
+// speedscope) and Tree as a nested span tree. It keeps at most 4096
+// spans unless SetMaxSpans lifts the budget.
+type Tracer = metrics.SpanTracer
 
 // NewMetricsRecorder returns an empty metrics recorder.
 func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
@@ -99,35 +101,32 @@ type MetricsAggregator = metrics.Aggregator
 // NewMetricsAggregator returns an empty aggregator.
 func NewMetricsAggregator() *MetricsAggregator { return metrics.NewAggregator() }
 
-// NewChromeTracer starts a Chrome trace-event stream written to w; call
-// Close after the search to finalize the JSON array.
-func NewChromeTracer(w io.Writer) *ChromeTracer { return metrics.NewChromeTracer(w) }
+// NewTracer starts a trace with a fresh trace identity and a root span
+// named "scan".
+func NewTracer() *Tracer {
+	return metrics.NewSpanTracer(metrics.NewTraceID(), "scan", metrics.SpanID{})
+}
 
 // Engine selects the execution platform.
 type Engine = core.EngineKind
 
 // The available engines: the paper's six systems plus variants.
 const (
-	// EngineHyperscan is the measured CPU automata engine (default),
-	// using the literal-prefilter hybrid path.
+	// EngineHyperscan is the measured CPU automata engine (default). It
+	// runs the literal-prefilter hybrid path, or the bitap automaton
+	// when the guides do not fit the prefilter (a spacer over 32 nt or
+	// a partially degenerate spacer position); Stats.Engine names the
+	// path that ran.
 	EngineHyperscan = core.EngineHyperscan
-	// EngineHyperscanBitap / EngineHyperscanNFA / EngineHyperscanDFA
-	// select its pure-bitap, bitset-NFA and table-DFA execution paths.
-	EngineHyperscanBitap = core.EngineHyperscanBitap
-	EngineHyperscanNFA   = core.EngineHyperscanNFA
-	EngineHyperscanDFA   = core.EngineHyperscanDFA
-	// EngineHyperscanLazy runs the on-the-fly subset construction
-	// (lazy DFA) execution path: DFA-speed scanning without the
-	// up-front determinization cost on large pattern sets.
-	EngineHyperscanLazy = core.EngineHyperscanLazy
+	// EngineHyperscanNFA runs its bitset-NFA execution path, the
+	// reference oracle.
+	EngineHyperscanNFA = core.EngineHyperscanNFA
 	// EngineCasOffinder is the brute-force baseline (measured, CPU);
 	// EngineCasOffinderGPU is its analytic GPU timing model.
 	EngineCasOffinder    = core.EngineCasOffinder
 	EngineCasOffinderGPU = core.EngineCasOffinderGPU
-	// EngineCasOT is the single-thread seed-region baseline;
-	// EngineCasOTIndex its seed-index variant.
-	EngineCasOT      = core.EngineCasOT
-	EngineCasOTIndex = core.EngineCasOTIndex
+	// EngineCasOT is the single-thread seed-region baseline.
+	EngineCasOT = core.EngineCasOT
 	// EngineSeedIndex is the pigeonhole seed-index engine: attach a
 	// persistent index via Params.SeedIndex (index once, query
 	// millions), or let it self-index per chromosome when none is set.

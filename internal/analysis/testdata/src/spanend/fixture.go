@@ -12,8 +12,8 @@ func cond() bool { return false }
 func runLater(f func()) { f() }
 
 // straightLine is the simplest compliant shape.
-func straightLine(tr *metrics.SpanTracer) {
-	end := tr.StartSpan("phase")
+func straightLine(rec *metrics.Recorder) {
+	end := rec.TraceSpan("phase")
 	end()
 }
 
@@ -27,8 +27,8 @@ func deferredEnd(tr *metrics.SpanTracer) {
 }
 
 // immediate invocation is a zero-width span; fine.
-func immediate(tr *metrics.SpanTracer) {
-	tr.StartSpan("phase")()
+func immediate(rec *metrics.Recorder) {
+	rec.TraceSpan("phase")()
 }
 
 // deferStartAndEnd is the idiomatic one-liner: start now, end at exit.
@@ -37,13 +37,13 @@ func deferStartAndEnd(rec *metrics.Recorder) {
 }
 
 // discarded drops the end function on the floor.
-func discarded(tr *metrics.SpanTracer) {
-	tr.StartSpan("phase") // want `result of tr\.StartSpan is discarded`
+func discarded(rec *metrics.Recorder) {
+	rec.TraceSpan("phase") // want `result of rec\.TraceSpan is discarded`
 }
 
 // discardedBlank is the same leak spelled with the blank identifier.
-func discardedBlank(tr *metrics.SpanTracer) {
-	_ = tr.StartSpan("phase") // want `result of tr\.StartSpan is discarded`
+func discardedBlank(rec *metrics.Recorder) {
+	_ = rec.TraceSpan("phase") // want `result of rec\.TraceSpan is discarded`
 }
 
 // discardedChildEnd keeps the span but drops its end.
@@ -53,13 +53,13 @@ func discardedChildEnd(tr *metrics.SpanTracer) {
 }
 
 // deferredStart runs the START at exit and never the end.
-func deferredStart(tr *metrics.SpanTracer) {
-	defer tr.StartSpan("phase") // want `defer evaluates tr\.StartSpan at function exit`
+func deferredStart(rec *metrics.Recorder) {
+	defer rec.TraceSpan("phase") // want `defer evaluates rec\.TraceSpan at function exit`
 }
 
 // earlyReturnLeaks skips the end on the error path.
-func earlyReturnLeaks(tr *metrics.SpanTracer) {
-	end := tr.StartSpan("phase") // want `end function end is not called \(or deferred\) on every path`
+func earlyReturnLeaks(rec *metrics.Recorder) {
+	end := rec.TraceSpan("phase") // want `end function end is not called \(or deferred\) on every path`
 	if cond() {
 		return
 	}
@@ -67,8 +67,8 @@ func earlyReturnLeaks(tr *metrics.SpanTracer) {
 }
 
 // switchLeaks misses the implicit no-match path (no default clause).
-func switchLeaks(tr *metrics.SpanTracer, n int) {
-	end := tr.StartSpan("phase") // want `end function end is not called \(or deferred\) on every path`
+func switchLeaks(rec *metrics.Recorder, n int) {
+	end := rec.TraceSpan("phase") // want `end function end is not called \(or deferred\) on every path`
 	switch n {
 	case 0:
 		end()
@@ -76,8 +76,8 @@ func switchLeaks(tr *metrics.SpanTracer, n int) {
 }
 
 // bothBranches ends on every explicit path; no finding.
-func bothBranches(tr *metrics.SpanTracer) {
-	end := tr.StartSpan("phase")
+func bothBranches(rec *metrics.Recorder) {
+	end := rec.TraceSpan("phase")
 	if cond() {
 		end()
 		return
@@ -86,17 +86,17 @@ func bothBranches(tr *metrics.SpanTracer) {
 }
 
 // loopBody opens and closes per iteration; no finding.
-func loopBody(tr *metrics.SpanTracer, names []string) {
+func loopBody(rec *metrics.Recorder, names []string) {
 	for _, name := range names {
-		end := tr.StartSpan(name)
+		end := rec.TraceSpan(name)
 		end()
 	}
 }
 
 // loopLeaks opens per iteration but only conditionally closes.
-func loopLeaks(tr *metrics.SpanTracer, names []string) {
+func loopLeaks(rec *metrics.Recorder, names []string) {
 	for _, name := range names {
-		end := tr.StartSpan(name) // want `end function end is not called \(or deferred\) on every path`
+		end := rec.TraceSpan(name) // want `end function end is not called \(or deferred\) on every path`
 		if cond() {
 			end()
 		}
@@ -104,20 +104,20 @@ func loopLeaks(tr *metrics.SpanTracer, names []string) {
 }
 
 // escapeReturned transfers the obligation to the caller; exempt.
-func escapeReturned(tr *metrics.SpanTracer) func() {
-	end := tr.StartSpan("phase")
+func escapeReturned(rec *metrics.Recorder) func() {
+	end := rec.TraceSpan("phase")
 	return end
 }
 
 // escapeArgument hands the end function to another callee; exempt.
-func escapeArgument(tr *metrics.SpanTracer) {
-	end := tr.StartSpan("phase")
+func escapeArgument(rec *metrics.Recorder) {
+	end := rec.TraceSpan("phase")
 	runLater(end)
 }
 
 // escapeCapture lets a closure own the close; exempt.
-func escapeCapture(tr *metrics.SpanTracer) func() {
-	end := tr.StartSpan("phase")
+func escapeCapture(rec *metrics.Recorder) func() {
+	end := rec.TraceSpan("phase")
 	return func() { end() }
 }
 
@@ -126,8 +126,8 @@ type holder struct {
 	end func()
 }
 
-func escapeField(tr *metrics.SpanTracer, h *holder) {
-	end := tr.StartSpan("phase")
+func escapeField(rec *metrics.Recorder, h *holder) {
+	end := rec.TraceSpan("phase")
 	h.end = end
 }
 
@@ -138,6 +138,9 @@ func recorderPhases(rec *metrics.Recorder) {
 	rec.StartChunk("chr1", 1024) // want `result of rec\.StartChunk is discarded`
 	endChunk := rec.StartChunk("chr2", 2048)
 	endChunk()
+	rec.StartSpan(metrics.PhaseVerify, "verify chr1") // want `result of rec\.StartSpan is discarded`
+	endVerify := rec.StartSpan(metrics.PhaseVerify, "verify chr2")
+	endVerify()
 }
 
 // spanChild tracks Span.StartChild the same as the tracer's.
@@ -159,9 +162,9 @@ func foreign(o otherStarter) {
 
 // literals are checked independently: the outer function is clean, the
 // closure leaks.
-func insideLiteral(tr *metrics.SpanTracer) func() {
+func insideLiteral(rec *metrics.Recorder) func() {
 	return func() {
-		end := tr.StartSpan("phase") // want `end function end is not called \(or deferred\) on every path`
+		end := rec.TraceSpan("phase") // want `end function end is not called \(or deferred\) on every path`
 		if cond() {
 			end()
 		}

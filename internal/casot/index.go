@@ -7,7 +7,6 @@ import (
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
-	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // IndexEngine is the seed-index variant: instead of walking every
@@ -17,17 +16,12 @@ import (
 // cost grows combinatorially with the seed budget — the blowup that
 // makes seed-and-extend tools degrade at high k while the automata
 // engines degrade only linearly, one of the paper's central
-// observations.
+// observations. E13 times it against the naive scan; it is not a
+// registered engine kind.
 type IndexEngine struct {
 	specs []arch.PatternSpec
 	opt   Options
-
-	// rec receives scan metrics; nil disables instrumentation.
-	rec *metrics.Recorder
 }
-
-// SetMetrics implements arch.Instrumented.
-func (e *IndexEngine) SetMetrics(rec *metrics.Recorder) { e.rec = rec }
 
 // NewIndex builds the seed-index engine. SeedLen must be in 1..16 so a
 // seed packs into a uint32 key.
@@ -98,10 +92,6 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 	}
 
 	seen := make(map[int64]bool)
-	// Candidate windows here are index-probe hits (variant x indexed
-	// position); PAM survivors and full-spacer extensions map onto the
-	// prefilter-hit and verification counters.
-	var candidates, pamHits, verifs int64
 	for si := range e.specs {
 		spec := &e.specs[si]
 		seedPat := seedOfSpec(spec, s)
@@ -128,16 +118,13 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 				if p < 0 || p+site > len(seq) {
 					continue
 				}
-				candidates++
 				if !pamOK(spec.PAM, seq[p+pamOff:p+pamOff+len(spec.PAM)]) {
 					continue
 				}
-				pamHits++
 				window := seq[p+spacerOff : p+spacerOff+spacerLen]
 				if window.HasAmbiguous() {
 					continue
 				}
-				verifs++
 				// Extend: count total mismatches (seed part == used by
 				// construction, but recount for clarity and safety).
 				total := spec.Spacer.Mismatches(window)
@@ -152,9 +139,6 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 			}
 		})
 	}
-	e.rec.Add(metrics.CounterCandidateWindows, candidates)
-	e.rec.Add(metrics.CounterPrefilterHits, pamHits)
-	e.rec.Add(metrics.CounterVerifications, verifs)
 	return nil
 }
 

@@ -56,7 +56,7 @@ func TestCas12aEnginesAgree(t *testing.T) {
 	g, guides, _ := cas12aFixture(t)
 	p := Params{MaxMismatches: 2, PAM: "TTTV", PAM5: true}
 	var ref []string
-	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanBitap, EngineCasOffinder, EngineCasOT, EngineAP, EngineInfant} {
+	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanNFA, EngineCasOffinder, EngineCasOT, EngineAP, EngineInfant} {
 		pp := p
 		pp.Engine = kind
 		res, err := Search(g, guides, pp)

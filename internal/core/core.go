@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/cap-repro/crisprscan/internal/ap"
@@ -30,23 +31,18 @@ type EngineKind string
 
 // The six systems of the paper's evaluation, plus auxiliary variants.
 const (
-	// EngineHyperscan is the measured CPU automata engine, using the
-	// HyperScan-style literal-prefilter hybrid path.
+	// EngineHyperscan is the measured CPU automata engine. It runs the
+	// HyperScan-style literal-prefilter hybrid path, and the bitap
+	// automaton when the guides do not fit the prefilter.
 	EngineHyperscan EngineKind = "hyperscan"
-	// EngineHyperscanBitap, EngineHyperscanNFA and EngineHyperscanDFA
-	// select its alternative execution paths.
-	EngineHyperscanBitap EngineKind = "hyperscan-bitap"
-	EngineHyperscanNFA   EngineKind = "hyperscan-nfa"
-	EngineHyperscanDFA   EngineKind = "hyperscan-dfa"
-	EngineHyperscanLazy  EngineKind = "hyperscan-lazydfa"
+	// EngineHyperscanNFA runs its bitset NFA simulator, the oracle.
+	EngineHyperscanNFA EngineKind = "hyperscan-nfa"
 	// EngineCasOffinder is the measured CPU form of the brute-force
 	// baseline; EngineCasOffinderGPU is its analytic GPU timing model.
 	EngineCasOffinder    EngineKind = "cas-offinder"
 	EngineCasOffinderGPU EngineKind = "cas-offinder-gpu"
-	// EngineCasOT is the measured single-thread baseline;
-	// EngineCasOTIndex its seed-index variant.
-	EngineCasOT      EngineKind = "casot"
-	EngineCasOTIndex EngineKind = "casot-index"
+	// EngineCasOT is the measured single-thread baseline.
+	EngineCasOT EngineKind = "casot"
 	// EngineSeedIndex is the pigeonhole seed-index engine: bound to a
 	// persistent genome index via Params.SeedIndex it queries candidate
 	// loci instead of rescanning the genome; without one it
@@ -54,7 +50,8 @@ const (
 	EngineSeedIndex EngineKind = "seed-index"
 	// EngineAP, EngineFPGA and EngineInfant are the modeled accelerator
 	// platforms. Like EngineCasOffinderGPU they run the reference scan
-	// (EngineHyperscan) and report their cost model's device time.
+	// (EngineHyperscan's engine) and report their cost model's device
+	// time.
 	EngineAP     EngineKind = "ap"
 	EngineFPGA   EngineKind = "fpga"
 	EngineInfant EngineKind = "infant2"
@@ -62,10 +59,9 @@ const (
 
 // AllEngines lists every selectable engine kind.
 var AllEngines = []EngineKind{
-	EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA,
-	EngineHyperscanLazy,
+	EngineHyperscan, EngineHyperscanNFA,
 	EngineCasOffinder, EngineCasOffinderGPU,
-	EngineCasOT, EngineCasOTIndex,
+	EngineCasOT,
 	EngineSeedIndex,
 	EngineAP, EngineFPGA, EngineInfant,
 }
@@ -194,24 +190,24 @@ func BuildSpecsOriented(guides []dna.Pattern, pam dna.Pattern, k int, plusOnly, 
 }
 
 // NewEngine instantiates the requested engine for the spec set. A
-// modeled kind gets the reference engine (the hscan prefilter); its
-// cost model comes from newModel.
+// modeled kind gets the reference engine, EngineHyperscan's; its cost
+// model comes from newModel. That engine is the hscan prefilter, or
+// the bitap automaton when the set does not fit the prefilter.
 func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine, error) {
 	switch kind {
-	case EngineHyperscan, EngineHyperscanBitap, EngineHyperscanNFA, EngineHyperscanDFA, EngineHyperscanLazy,
+	case EngineHyperscan, EngineHyperscanNFA,
 		EngineCasOffinderGPU, EngineAP, EngineFPGA, EngineInfant:
 		mode := hscan.ModePrefilter
-		switch kind {
-		case EngineHyperscanBitap:
-			mode = hscan.ModeBitap
-		case EngineHyperscanNFA:
+		if kind == EngineHyperscanNFA {
 			mode = hscan.ModeNFA
-		case EngineHyperscanDFA:
-			mode = hscan.ModeDFA
-		case EngineHyperscanLazy:
-			mode = hscan.ModeLazyDFA
 		}
 		e, err := hscan.New(specs, mode)
+		if fitErr := err; errors.Is(fitErr, hscan.ErrPrefilterFit) {
+			e, err = hscan.New(specs, hscan.ModeBitap)
+			if err != nil {
+				err = fmt.Errorf("%w; bitap fallback: %w", fitErr, err)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -219,18 +215,12 @@ func NewEngine(kind EngineKind, specs []arch.PatternSpec, p Params) (arch.Engine
 		return e, nil
 	case EngineCasOffinder:
 		return casoffinder.New(specs, p.Workers)
-	case EngineCasOT, EngineCasOTIndex:
+	case EngineCasOT:
 		opt := casot.Options{SeedLen: p.SeedLen, MaxSeedMismatches: p.MaxSeedMismatches}
 		if opt.SeedLen == 0 {
 			// No seed constraint: budgets equal the total budget so the
 			// constraint is inert.
 			opt.MaxSeedMismatches = p.MaxMismatches
-		}
-		if kind == EngineCasOTIndex {
-			if opt.SeedLen == 0 {
-				opt.SeedLen = min(12, len(specs[0].Spacer))
-			}
-			return casot.NewIndex(specs, opt)
 		}
 		return casot.New(specs, opt)
 	case EngineSeedIndex:
@@ -498,11 +488,4 @@ func scanChromSafe(ctx context.Context, engine arch.Engine, c *genome.Chromosome
 		}
 	}()
 	return arch.ScanChrom(ctx, engine, c, emit)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -51,7 +51,7 @@ func TestMultiPAMEnginesAgree(t *testing.T) {
 	g, guides := multiPAMFixture(t)
 	p := Params{MaxMismatches: 2, AltPAMs: []string{"NAG"}}
 	var ref int
-	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanBitap, EngineCasOffinder, EngineCasOT, EngineAP, EngineFPGA} {
+	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanNFA, EngineCasOffinder, EngineCasOT, EngineAP, EngineFPGA} {
 		pp := p
 		pp.Engine = kind
 		res, err := Search(g, guides, pp)

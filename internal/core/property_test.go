@@ -19,9 +19,9 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	pairs := [][2]EngineKind{
 		{EngineHyperscan, EngineCasOT},
-		{EngineHyperscanBitap, EngineCasOffinder},
-		{EngineHyperscanLazy, EngineAP},
-		{EngineCasOTIndex, EngineFPGA},
+		{EngineHyperscanNFA, EngineCasOffinder},
+		{EngineSeedIndex, EngineAP},
+		{EngineInfant, EngineFPGA},
 	}
 	f := func(seed int64, kRaw, guideRaw, pamRaw, pairRaw uint8) bool {
 		k := int(kRaw) % 4

@@ -3,14 +3,16 @@ package core
 import (
 	"testing"
 
+	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
+	"github.com/cap-repro/crisprscan/internal/hscan"
 	"github.com/cap-repro/crisprscan/internal/report"
 )
 
 // TestSoakLargeScale is the paper-shaped end-to-end run in miniature:
 // a 2 Mbp genome, 50 sampled guides at full length (20nt + NGG), k=4,
-// three engines cross-checked, and planted ground truth at every
+// four engines cross-checked, and planted ground truth at every
 // mismatch level up to the budget. Guarded by -short so quick edit
 // cycles skip it.
 func TestSoakLargeScale(t *testing.T) {
@@ -34,7 +36,7 @@ func TestSoakLargeScale(t *testing.T) {
 	}
 
 	var ref []report.Site
-	for _, kind := range []EngineKind{EngineHyperscan, EngineHyperscanBitap, EngineCasOffinder} {
+	for _, kind := range []EngineKind{EngineHyperscan, EngineSeedIndex, EngineCasOffinder} {
 		res, err := Search(g, guides, Params{MaxMismatches: 4, Engine: kind, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -55,13 +57,37 @@ func TestSoakLargeScale(t *testing.T) {
 			t.Logf("soak: %d sites, %d planted recalled", len(res.Sites), len(planted))
 			continue
 		}
-		if len(res.Sites) != len(ref) {
-			t.Fatalf("%s: %d sites vs %d", kind, len(res.Sites), len(ref))
-		}
-		for i := range ref {
-			if res.Sites[i] != ref[i] {
-				t.Fatalf("%s: site %d differs", kind, i)
-			}
+		sameSites(t, string(kind), res.Sites, ref)
+	}
+
+	// The bitap automaton, the prefilter's fallback, at Workers 4: each
+	// 1 Mbp chromosome spans many chunks, so this checks its chunk
+	// overlap and ownership at scale. Concrete 20-nt guides fit the
+	// prefilter, so the hook swaps bitap in for it.
+	bitap, err := hscan.New(BuildSpecs(guides, pam, 4, false), hscan.ModeBitap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitap.Parallelism = 4
+	setEngineHook(t, func(arch.Engine) arch.Engine { return bitap })
+	res, err := Search(g, guides, Params{MaxMismatches: 4, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Engine != "hyperscan-bitap" {
+		t.Fatalf("hooked search ran %s, want hyperscan-bitap", res.Stats.Engine)
+	}
+	sameSites(t, "hyperscan-bitap", res.Sites, ref)
+}
+
+func sameSites(t *testing.T, name string, got, ref []report.Site) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d sites vs %d", name, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: site %d differs", name, i)
 		}
 	}
 }

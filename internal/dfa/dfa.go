@@ -2,8 +2,9 @@
 // Deterministic automata are how high-performance CPU automata libraries
 // (HyperScan's McClellan engines, and classic tools like RE2) execute
 // small pattern sets: one table lookup per input byte, no active-set
-// bookkeeping. The E1 characterization table reports DFA sizes next to
-// NFA/STE counts, and internal/hscan can select a DFA execution path.
+// bookkeeping. The E1 characterization table reports minimized DFA
+// sizes next to NFA/STE counts; Scan runs a DFA so tests can show the
+// minimized automaton accepts the NFA's language.
 package dfa
 
 import (

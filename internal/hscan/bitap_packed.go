@@ -76,7 +76,7 @@ func (e *Engine) buildPackedBitap() bool {
 //
 //crisprlint:hotpath
 func (e *Engine) scanBitapPacked(seq dna.Seq, base int, emit func(automata.Report)) {
-	var rows [8]uint64
+	var rows [maxBitapK + 1]uint64
 	for pi := range e.packed {
 		p := &e.packed[pi]
 		k := p.k

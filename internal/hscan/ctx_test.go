@@ -16,7 +16,7 @@ import (
 
 // parallelModes are the modes that fan chunks out across workers and
 // therefore exercise arch.ChunkScan's cancellation and panic paths.
-var parallelModes = []Mode{ModeBitap, ModeNFA, ModeDFA, ModePrefilter}
+var parallelModes = []Mode{ModeBitap, ModeNFA, ModePrefilter}
 
 func sortReports(rs []automata.Report) {
 	sort.Slice(rs, func(i, j int) bool {
@@ -110,7 +110,7 @@ func TestScanChromContextPreCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	specs := randSpecs(rng, 2, 20, 1)
 	c := chromOf(rng, 4096, 0)
-	for _, mode := range []Mode{ModeBitap, ModeLazyDFA, ModePrefilter} {
+	for _, mode := range parallelModes {
 		e, err := New(specs, mode)
 		if err != nil {
 			t.Fatal(err)

@@ -2,13 +2,15 @@
 // Intel HyperScan. Like HyperScan it is a hybrid: the default execution
 // path (ModePrefilter) scans the packed genome once for the shared PAM
 // literal and confirms each candidate with the pattern's anchored
-// mismatch automaton, evaluated bit-parallel. Alternative paths — the
-// unanchored bit-parallel automaton (bitap), the NFA bitset simulator,
-// and full and lazy DFA tables — are selectable for comparison. It
-// executes for real and is wall-clock measured; the paper measured
-// single-thread HyperScan, and this engine is likewise single-threaded
-// unless Parallelism > 1. Its prefilter path is also the reference scan
-// the modeled platforms price.
+// mismatch automaton, evaluated bit-parallel. ModeBitap runs the
+// unanchored bit-parallel automaton over every position; it scans the
+// pattern sets the prefilter cannot compile (ErrPrefilterFit) and is
+// the generic-automaton comparator of E4. ModeNFA runs the shared
+// bitset NFA simulator, the oracle. It executes for real and is
+// wall-clock measured; the paper measured single-thread HyperScan, and
+// this engine is likewise single-threaded unless Parallelism > 1. Its
+// prefilter path is also the reference scan the modeled platforms
+// price.
 package hscan
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
-	"github.com/cap-repro/crisprscan/internal/dfa"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
 	"github.com/cap-repro/crisprscan/internal/metrics"
@@ -29,18 +30,13 @@ type Mode int
 
 const (
 	// ModeBitap is the register-resident bit-parallel mismatch automaton
-	// run unanchored over the whole input, one pass per pattern.
+	// run unanchored over the whole input, one pass per pattern. It
+	// takes any window up to 64 positions, IUPAC spacer positions and
+	// k <= maxBitapK.
 	ModeBitap Mode = iota
 	// ModeNFA runs the shared bitset NFA simulator over the merged
 	// automata network.
 	ModeNFA
-	// ModeDFA determinizes each pattern and runs table-driven scans.
-	ModeDFA
-	// ModeLazyDFA determinizes the union automaton on the fly with a
-	// bounded state cache (dfa.Lazy), the strategy real lazy-DFA engines
-	// use when full determinization explodes (E1: ~1e5 states/guide at
-	// k=5).
-	ModeLazyDFA
 	// ModePrefilter mirrors HyperScan's hybrid architecture: a shared
 	// literal prefilter (the PAM, the one literal every pattern
 	// contains) scans the input once, and each candidate anchor is
@@ -72,10 +68,6 @@ func (m Mode) String() string {
 		return "bitap"
 	case ModeNFA:
 		return "nfa"
-	case ModeDFA:
-		return "dfa"
-	case ModeLazyDFA:
-		return "lazydfa"
 	case ModePrefilter:
 		return "prefilter"
 	}
@@ -84,6 +76,9 @@ func (m Mode) String() string {
 
 // PatternSpec aliases the engine-independent pattern description.
 type PatternSpec = arch.PatternSpec
+
+// maxBitapK is the largest mismatch budget the bitap rows hold.
+const maxBitapK = 7
 
 // compiled is the bitap form of one pattern.
 type compiled struct {
@@ -107,10 +102,6 @@ type Engine struct {
 
 	// NFA path state.
 	nfa *automata.NFA
-
-	// DFA path state.
-	dfas []*dfa.DFA
-	lazy *dfa.Lazy
 
 	// Prefilter path state: one group per (PAM, orientation), the
 	// distinct PAM IUPAC sets the groups' lanes index, and the shared
@@ -171,6 +162,11 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 	}
 	switch mode {
 	case ModeBitap:
+		for i, p := range e.pats {
+			if p.k > maxBitapK {
+				return nil, fmt.Errorf("hscan: pattern %d mismatch budget %d is over bitap's %d", i, p.k, maxBitapK)
+			}
+		}
 		e.buildPackedBitap()
 	case ModePrefilter:
 		if err := e.buildPrefilter(specs); err != nil {
@@ -193,41 +189,6 @@ func New(specs []PatternSpec, mode Mode) (*Engine, error) {
 		}
 		merged, _ := automata.MergeEquivalent(u)
 		e.nfa = merged
-	case ModeDFA:
-		for _, spec := range specs {
-			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				return nil, err
-			}
-			d, err := dfa.FromNFA(n, dfa.BuildOptions{})
-			if err != nil {
-				return nil, err
-			}
-			e.dfas = append(e.dfas, dfa.Minimize(d))
-		}
-	case ModeLazyDFA:
-		var parts []*automata.NFA
-		for _, spec := range specs {
-			n, err := automata.CompileHamming(spec.Spacer, automata.CompileOptions{
-				MaxMismatches: spec.K, PAM: spec.PAM, PAMLeft: spec.PAMLeft, Code: spec.Code,
-			})
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, n)
-		}
-		u, err := automata.UnionAll("hscan", parts)
-		if err != nil {
-			return nil, err
-		}
-		merged, _ := automata.MergeEquivalent(u)
-		lz, err := dfa.NewLazy(merged, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.lazy = lz
 	default:
 		return nil, fmt.Errorf("hscan: unknown mode %v", mode)
 	}
@@ -256,20 +217,10 @@ func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) err
 
 // ScanChromContext implements arch.ContextEngine: the scan honors ctx
 // at chunk granularity (arch.DefaultChunk positions) on every execution
-// path except the lazy DFA, whose shared mutable state cache forces a
-// serial whole-chromosome pass (ctx is still checked before it starts).
+// path.
 func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if e.mode == ModePrefilter {
 		return e.scanChromPrefilter(ctx, c, emit)
-	}
-	// The lazy DFA shares one mutable state cache, so it always scans
-	// serially.
-	if e.mode == ModeLazyDFA {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("hscan: scan of %s canceled: %w", c.Name, err)
-		}
-		e.rec.Add(metrics.CounterCandidateWindows, int64(len(c.Seq)))
-		return e.scanRange(c.Seq, 0, emit)
 	}
 	return e.scanParallel(ctx, c.Name, c.Seq, emit)
 }
@@ -337,21 +288,6 @@ func (e *Engine) scanRange(seq dna.Seq, base int, emit func(automata.Report)) er
 			emit(r)
 		})
 		return nil
-	case ModeDFA:
-		in := automata.SymbolsOfSeq(seq)
-		for _, d := range e.dfas {
-			d.Scan(in, func(r automata.Report) {
-				r.End += base
-				emit(r)
-			})
-		}
-		return nil
-	case ModeLazyDFA:
-		e.lazy.Scan(automata.SymbolsOfSeq(seq), func(r automata.Report) {
-			r.End += base
-			emit(r)
-		})
-		return nil
 	}
 	return fmt.Errorf("hscan: unknown mode %v", e.mode)
 }
@@ -363,7 +299,7 @@ func (e *Engine) scanRange(seq dna.Seq, base int, emit func(automata.Report)) er
 //
 //crisprlint:hotpath
 func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
-	var rows [8]uint64 // k <= 7 fits every realistic budget
+	var rows [maxBitapK + 1]uint64
 	for pi := range e.pats {
 		p := &e.pats[pi]
 		k := p.k
@@ -420,9 +356,9 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 			if elo < 0 {
 				elo = 0
 			}
-			// scanRange's emit contract is shared by four execution modes,
-			// so the ownership filter stays a closure here: one allocation
-			// per 64K-position chunk, not per position.
+			// scanRange's emit contract is shared by the bitap and NFA
+			// modes, so the ownership filter stays a closure here: one
+			// allocation per 64K-position chunk, not per position.
 			//crisprlint:allow hotpath one filter closure per chunk; scanRange's emit signature is shared across modes
 			err := e.scanRange(seq[elo:hi], elo, func(r automata.Report) {
 				if r.End >= lo && r.End < hi {
@@ -450,16 +386,4 @@ func (e *Engine) NFAStats() (automata.Stats, bool) {
 		return automata.Stats{}, false
 	}
 	return e.nfa.ComputeStats(), true
-}
-
-// DFAStates returns total DFA states across patterns (ModeDFA only).
-func (e *Engine) DFAStates() (int, bool) {
-	if e.dfas == nil {
-		return 0, false
-	}
-	total := 0
-	for _, d := range e.dfas {
-		total += d.NumStates()
-	}
-	return total, true
 }

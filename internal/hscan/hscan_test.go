@@ -1,10 +1,13 @@
 package hscan
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
@@ -113,7 +116,7 @@ func TestModesAgree(t *testing.T) {
 	specs := randSpecs(rng, 4, 8, 2)
 	c := chromOf(rng, 6000, 0.02)
 	var results [][]automata.Report
-	for _, mode := range []Mode{ModeBitap, ModeNFA, ModeDFA} {
+	for _, mode := range []Mode{ModeBitap, ModeNFA} {
 		e, err := New(specs, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -123,8 +126,8 @@ func TestModesAgree(t *testing.T) {
 	if len(results[0]) == 0 {
 		t.Fatal("fixture produced no matches; weak test")
 	}
-	if !equal(results[0], results[1]) || !equal(results[0], results[2]) {
-		t.Fatalf("modes disagree: bitap=%d nfa=%d dfa=%d", len(results[0]), len(results[1]), len(results[2]))
+	if !equal(results[0], results[1]) {
+		t.Fatalf("modes disagree: bitap=%d nfa=%d", len(results[0]), len(results[1]))
 	}
 }
 
@@ -169,6 +172,53 @@ func TestParallelEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestBitapMixedGeometryChunkEdges checks bitap on a mixed-geometry
+// set, which the prefilter refuses, across chunk edges. A chunk scans
+// from MaxSiteLen-1 positions before its start, so a short site ending
+// just before a chunk edge lies wholly in the next chunk's overlap; the
+// ownership filter must report it once.
+func TestBitapMixedGeometryChunkEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	specs := append(randSpecs(rng, 2, 20, 2), randSpecs(rng, 2, 12, 1)...)
+	for i := range specs {
+		specs[i].Code = int32(i)
+	}
+	if _, err := New(specs, ModePrefilter); !errors.Is(err, ErrPrefilterFit) {
+		t.Fatalf("prefilter took a mixed-geometry set: %v", err)
+	}
+	long, short := specs[0], specs[2]
+	n := 3*arch.DefaultChunk + 501
+	c := chromOf(rng, n, 0.001)
+	// Before each edge: a short site ending 2..8 positions short of it,
+	// then a long site straddling it.
+	var planted []automata.Report
+	for edge := arch.DefaultChunk; edge < n; edge += arch.DefaultChunk {
+		s := edge - long.SiteLen() + 7 - rng.Intn(7)
+		end := plantSite(rng, c.Seq, short, s, rng.Intn(short.K+1))
+		planted = append(planted, automata.Report{Code: short.Code, End: end})
+		end = plantSite(rng, c.Seq, long, end+1, rng.Intn(long.K+1))
+		planted = append(planted, automata.Report{Code: long.Code, End: end})
+	}
+	c.Packed = dna.Pack(c.Seq)
+	want := oracleGeneric(specs, c.Seq)
+	sortReports(want)
+	for _, r := range planted {
+		if !slices.Contains(want, r) {
+			t.Fatalf("planted site %+v missing from the oracle", r)
+		}
+	}
+	for _, par := range []int{1, 3} {
+		e, err := New(specs, ModeBitap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Parallelism = par
+		if got := collect(t, e, c); !equal(got, want) {
+			t.Fatalf("Parallelism %d: %d reports, oracle %d, or they differ", par, len(got), len(want))
+		}
+	}
+}
+
 func TestParallelTinyInputFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	specs := randSpecs(rng, 1, 6, 1)
@@ -197,6 +247,10 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New([]PatternSpec{bad}, ModeBitap); err == nil {
 		t.Error("k out of range must error")
 	}
+	deep := PatternSpec{Spacer: dna.MustParsePattern("ACGTACGTACGT"), K: maxBitapK + 1}
+	if _, err := New([]PatternSpec{deep}, ModeBitap); err == nil {
+		t.Error("k over the bitap rows must error in bitap mode")
+	}
 	if _, err := New(randSpecs(rand.New(rand.NewSource(1)), 1, 6, 1), Mode(42)); err == nil {
 		t.Error("unknown mode must error")
 	}
@@ -209,16 +263,9 @@ func TestStatsAccessors(t *testing.T) {
 	if _, ok := b.NFAStats(); ok {
 		t.Error("bitap engine must not report NFA stats")
 	}
-	if _, ok := b.DFAStates(); ok {
-		t.Error("bitap engine must not report DFA states")
-	}
 	nf, _ := New(specs, ModeNFA)
 	if st, ok := nf.NFAStats(); !ok || st.States == 0 {
 		t.Error("NFA stats missing")
-	}
-	df, _ := New(specs, ModeDFA)
-	if n, ok := df.DFAStates(); !ok || n == 0 {
-		t.Error("DFA states missing")
 	}
 	if b.Name() != "hyperscan-bitap" || nf.Name() != "hyperscan-nfa" {
 		t.Errorf("names: %s / %s", b.Name(), nf.Name())

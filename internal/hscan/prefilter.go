@@ -1,6 +1,7 @@
 package hscan
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -11,6 +12,13 @@ import (
 
 // maxKeyBases caps a screen key at 6 bases: 4096 rows per fragment.
 const maxKeyBases = 6
+
+// ErrPrefilterFit marks a pattern set the prefilter cannot compile: a
+// spacer over 32 nt (the packed spacer is one word), a partially
+// degenerate spacer position (the screen keys and the confirm lanes
+// take concrete or N bases only), or mixed window geometry (one PAM
+// mask pass serves every group). ModeBitap scans such a set.
+var ErrPrefilterFit = errors.New("hscan: pattern set does not fit the prefilter")
 
 // prefilterGroup holds the patterns sharing one PAM orientation for
 // ModePrefilter: the group's PAM lanes and its pigeonhole screen.
@@ -79,13 +87,13 @@ type anchoredPat struct {
 // in the same pass, each with its own literal filter, exactly as
 // HyperScan compiles one FDR literal table across all patterns. The
 // groups share the distinct PAM IUPAC sets, so each set's block mask is
-// built once per block. All specs must share window geometry; spacers
-// must be concrete-or-N (as with Cas-OFFinder's packed form).
+// built once per block. A set outside the prefilter's fit fails with
+// ErrPrefilterFit.
 func (e *Engine) buildPrefilter(specs []PatternSpec) error {
 	siteLen := specs[0].SiteLen()
 	spacerLen := len(specs[0].Spacer)
 	if spacerLen == 0 || spacerLen > 32 {
-		return fmt.Errorf("hscan: prefilter mode needs spacer length 1..32, got %d", spacerLen)
+		return fmt.Errorf("%w: spacer length %d, need 1..32", ErrPrefilterFit, spacerLen)
 	}
 	e.preSite = siteLen
 	e.preSpacer = spacerLen
@@ -93,7 +101,7 @@ func (e *Engine) buildPrefilter(specs []PatternSpec) error {
 	seen := map[dna.Mask]bool{}
 	for i, spec := range specs {
 		if spec.SiteLen() != siteLen || len(spec.Spacer) != spacerLen {
-			return fmt.Errorf("hscan: prefilter mode needs uniform window geometry (pattern %d differs)", i)
+			return fmt.Errorf("%w: pattern %d window geometry differs from pattern 0", ErrPrefilterFit, i)
 		}
 		key := spec.PAM.String()
 		if spec.PAMLeft {
@@ -130,7 +138,7 @@ func (e *Engine) buildPrefilter(specs []PatternSpec) error {
 				p.lanes |= 3 << uint(2*pos)
 			case 4:
 			default:
-				return fmt.Errorf("hscan: prefilter mode supports concrete or N spacer positions only (pattern %d)", i)
+				return fmt.Errorf("%w: pattern %d has a partially degenerate spacer position", ErrPrefilterFit, i)
 			}
 		}
 		g.pats = append(g.pats, p)

@@ -1,6 +1,7 @@
 package hscan
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -78,20 +79,28 @@ func TestPrefilterParallel(t *testing.T) {
 
 func TestPrefilterErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	long := randSpecs(rng, 1, 33, 0)
-	if _, err := New(long, ModePrefilter); err == nil {
-		t.Error("spacer > 32 must error in prefilter mode")
-	}
-	ragged := append(randSpecs(rng, 1, 10, 1), randSpecs(rng, 1, 12, 1)...)
-	if _, err := New(ragged, ModePrefilter); err == nil {
-		t.Error("ragged geometry must error in prefilter mode")
-	}
 	partial := []PatternSpec{{
 		Spacer: dna.MustParsePattern("ACGR"),
 		PAM:    dna.MustParsePattern("NGG"), K: 0, Code: 0,
 	}}
-	if _, err := New(partial, ModePrefilter); err == nil {
-		t.Error("partially degenerate spacer must error in prefilter mode")
+	for _, tc := range []struct {
+		name  string
+		specs []PatternSpec
+	}{
+		{"spacer over 32", randSpecs(rng, 1, 33, 0)},
+		{"ragged geometry", append(randSpecs(rng, 1, 10, 1), randSpecs(rng, 1, 12, 1)...)},
+		{"partially degenerate spacer", partial},
+	} {
+		if _, err := New(tc.specs, ModePrefilter); !errors.Is(err, ErrPrefilterFit) {
+			t.Errorf("%s: prefilter mode returned %v, want ErrPrefilterFit", tc.name, err)
+		}
+		// The same set compiles in bitap mode, the fallback.
+		if _, err := New(tc.specs, ModeBitap); err != nil {
+			t.Errorf("%s: bitap mode: %v", tc.name, err)
+		}
+	}
+	if _, err := New(randSpecs(rng, 1, 8, 9), ModePrefilter); err == nil || errors.Is(err, ErrPrefilterFit) {
+		t.Errorf("k over the spacer must be a plain build error, got %v", err)
 	}
 }
 
@@ -283,9 +292,9 @@ func plantSite(rng *rand.Rand, seq dna.Seq, spec PatternSpec, start, mm int) int
 	return start + len(window) - 1
 }
 
-// TestPrefilterChunkAndWordEdges checks ModePrefilter against the
-// positional oracle on a chromosome of more than two chunks plus an odd
-// tail. Sites on both strands at 0..k mismatches straddle every chunk
+// TestPrefilterChunkAndWordEdges checks ModePrefilter, and ModeBitap,
+// its fallback, against the positional oracle on a chromosome of more
+// than two chunks plus an odd tail. Sites on both strands at 0..k mismatches straddle every chunk
 // edge, a spread of 32- and 64-base word edges and the chromosome end,
 // and each has copies beside it with an N in a PAM lane and in a spacer
 // lane, which must not report.
@@ -380,19 +389,21 @@ func TestPrefilterChunkAndWordEdges(t *testing.T) {
 			if len(planted) < len(edges)/2 {
 				t.Fatalf("weak fixture: %d sites planted for %d edges", len(planted), len(edges))
 			}
-			for _, par := range []int{1, 3} {
-				e, err := New(specs, ModePrefilter)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Parallelism = par
-				got := collect(t, e, c)
-				if len(got) != len(want) {
-					t.Fatalf("Parallelism %d: %d reports, oracle %d", par, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("Parallelism %d: report %d = %v, oracle %v", par, i, got[i], want[i])
+			for _, mode := range []Mode{ModePrefilter, ModeBitap} {
+				for _, par := range []int{1, 3} {
+					e, err := New(specs, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Parallelism = par
+					got := collect(t, e, c)
+					if len(got) != len(want) {
+						t.Fatalf("%v Parallelism %d: %d reports, oracle %d", mode, par, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%v Parallelism %d: report %d = %v, oracle %v", mode, par, i, got[i], want[i])
+						}
 					}
 				}
 			}

@@ -8,8 +8,8 @@
 //     prefilter hits, verifications, sites emitted, chunks dispatched,
 //     worker panics recovered),
 //   - a log2-bucketed histogram sketch of per-chunk scan latency, and
-//   - pluggable trace hooks (Tracer) that can render any scan as a
-//     Chrome trace-event timeline.
+//   - span hooks into an attached SpanTracer, whose tree renders any
+//     scan as a Chrome trace-event timeline.
 //
 // A *Recorder is shared by the orchestrator, the arch.ChunkScan worker
 // pool and the engines; every Search* result carries an immutable
@@ -144,8 +144,8 @@ type Recorder struct {
 	chunkLat Histogram
 
 	// tracer is set once before scanning via SetTracer; spans are
-	// emitted only while non-nil.
-	tracer Tracer
+	// recorded only while non-nil.
+	tracer *SpanTracer
 
 	// traceID is set once before scanning via SetTraceID; while
 	// non-empty, chunk latencies carry it as a histogram exemplar so a
@@ -165,9 +165,10 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// SetTracer installs t as the span sink. Call before scanning starts;
-// a nil t detaches tracing.
-func (r *Recorder) SetTracer(t Tracer) {
+// SetTracer installs t as the span sink: phase, chromosome and chunk
+// spans become children of its ambient span. Call before scanning
+// starts; a nil t detaches tracing.
+func (r *Recorder) SetTracer(t *SpanTracer) {
 	if r == nil {
 		return
 	}
@@ -175,7 +176,7 @@ func (r *Recorder) SetTracer(t Tracer) {
 }
 
 // Tracer returns the attached span sink (nil when detached).
-func (r *Recorder) Tracer() Tracer {
+func (r *Recorder) Tracer() *SpanTracer {
 	if r == nil {
 		return nil
 	}
@@ -268,7 +269,7 @@ func (r *Recorder) StartSpan(p Phase, label string) func() {
 	if r == nil {
 		return func() {}
 	}
-	endTrace := r.traceStart(label)
+	_, endTrace := r.tracer.StartChild(label)
 	start := Now()
 	return func() {
 		r.phases[p].Add(Now() - start)
@@ -283,21 +284,14 @@ func (r *Recorder) TraceSpan(label string) func() {
 	if r == nil {
 		return func() {}
 	}
-	return r.traceStart(label)
+	_, end := r.tracer.StartChild(label)
+	return end
 }
 
 // Traced reports whether a tracer is attached. Hot paths use it to
 // skip building span labels that nobody would record.
 func (r *Recorder) Traced() bool {
 	return r != nil && r.tracer != nil
-}
-
-// traceStart opens a span on the attached tracer, if any.
-func (r *Recorder) traceStart(label string) func() {
-	if t := r.tracer; t != nil {
-		return t.StartSpan(label)
-	}
-	return func() {}
 }
 
 // StartChunk instruments one worker-pool chunk spanning bytes input
@@ -310,7 +304,7 @@ func (r *Recorder) StartChunk(label string, bytes int64) func() {
 		return func() {}
 	}
 	r.counters[CounterChunksDispatched].Add(1)
-	endTrace := r.traceStart(label)
+	_, endTrace := r.tracer.StartChild(label)
 	start := Now()
 	return func() {
 		if lat := Now() - start; r.traceID != "" {

@@ -16,13 +16,13 @@ import (
 	"time"
 )
 
-// This file is the hierarchical half of the tracing subsystem: W3C
-// trace-context identities, a SpanTracer that records parent-child span
-// trees behind the same Tracer seam the flat ChromeTracer uses (so
-// engines need no signature changes), and the sampling policy that
-// decides which jobs record and which traces the flight recorder
-// retains. The nil-receiver convention of the rest of the package
-// applies throughout: a nil *SpanTracer or nil *Span is a valid no-op.
+// This file is the tracing subsystem: W3C trace-context identities, a
+// SpanTracer that records parent-child span trees through the
+// Recorder's span hooks (so engines need no signature changes), and the
+// sampling policy that decides which jobs record and which traces the
+// flight recorder retains. The nil-receiver convention of the rest of
+// the package applies throughout: a nil *SpanTracer or nil *Span is a
+// valid no-op.
 
 // TraceID is a 128-bit trace identity, rendered as 32 lowercase hex
 // characters per the W3C trace-context spec.
@@ -212,11 +212,11 @@ func (s TraceSampler) Retain(failed bool) bool {
 // keeping a runaway trace under ~1 MiB.
 const defaultMaxSpans = 4096
 
-// SpanTracer records one request's hierarchical span tree. It
-// implements Tracer, attaching seam spans (engine phases,
-// per-chromosome scans, worker chunks) as children of the current
-// ambient span — the attempt span the orchestrator installs with
-// SetAmbient — so the whole pipeline joins one tree with no engine
+// SpanTracer records one request's hierarchical span tree: a service
+// job, or one batch scan. Attached to a Recorder, it parents seam spans
+// (engine phases, per-chromosome scans, worker chunks) under the
+// current ambient span — the attempt span the orchestrator installs
+// with SetAmbient — so the whole pipeline joins one tree with no engine
 // signature changes. All methods are safe for concurrent use and no-ops
 // on a nil receiver.
 type SpanTracer struct {
@@ -286,23 +286,13 @@ func (t *SpanTracer) Dropped() int64 {
 }
 
 // SetAmbient installs s as the parent for subsequent seam spans
-// (Tracer.StartSpan and SpanTracer.StartChild). Pass nil to fall back
+// (StartChild, which the Recorder's hooks call). Pass nil to fall back
 // to the root.
 func (t *SpanTracer) SetAmbient(s *Span) {
 	if t == nil {
 		return
 	}
 	t.ambient.Store(s)
-}
-
-// StartSpan implements Tracer: the named span becomes a child of the
-// ambient span and the returned func ends it.
-func (t *SpanTracer) StartSpan(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	_, end := t.StartChild(name)
-	return end
 }
 
 // StartChild starts a span under the current ambient span (the root

@@ -73,9 +73,10 @@ func TestSpanTreeHierarchy(t *testing.T) {
 	endQ()
 	attempt, endA := tr.Root().StartChild("attempt 1")
 	tr.SetAmbient(attempt)
-	// Seam spans (Tracer interface path) land under the ambient span.
-	endChunk := tr.StartSpan("chunk 0")
-	endChunk()
+	// Seam spans (the Recorder's hooks) land under the ambient span.
+	rec := NewRecorder()
+	rec.SetTracer(tr)
+	rec.TraceSpan("chunk 0")()
 	_, endC := tr.StartChild("chunk 1")
 	endC()
 	endA()
@@ -265,7 +266,6 @@ func TestSpanNilSafety(t *testing.T) {
 	if tr.Root() != nil || tr.Dropped() != 0 || tr.Tree() != nil {
 		t.Fatal("nil tracer accessors not zero")
 	}
-	tr.StartSpan("x")()
 	_, end := tr.StartChild("x")
 	end()
 	_, end = sp.StartChild("x")

@@ -171,6 +171,15 @@ func TestHTTPBackpressureAndErrors(t *testing.T) {
 	if resp, _ := postJob(t, srv.URL, "", JobSpec{K: 1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-guides spec = %d, want 400", resp.StatusCode)
 	}
+	// An engine outside the registry (misspelt, or removed) → 400, not
+	// a job that fails once it runs.
+	for _, engine := range []string{"hyperscan-dfa", "hyperscn"} {
+		spec := oneGuide()
+		spec.Engine = engine
+		if resp, _ := postJob(t, srv.URL, "", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q = %d, want 400", engine, resp.StatusCode)
+		}
+	}
 
 	// A body over the 1 MiB limit → 413, not a truncated-JSON 400.
 	huge := `{"guides":[{"spacer":"` + strings.Repeat("A", maxSubmitBytes) + `"}]}`

@@ -2,9 +2,11 @@ package scanserve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/cap-repro/crisprscan"
+	"github.com/cap-repro/crisprscan/internal/core"
 )
 
 // State is one job lifecycle state. The machine is:
@@ -107,6 +109,9 @@ func (sp *JobSpec) validate() error {
 	}
 	if sp.K < 0 {
 		return fmt.Errorf("scanserve: negative mismatch budget %d", sp.K)
+	}
+	if sp.Engine != "" && !slices.Contains(core.AllEngines, core.EngineKind(sp.Engine)) {
+		return fmt.Errorf("scanserve: unknown engine %q", sp.Engine)
 	}
 	if strings.Contains(sp.Genome, "\x00") {
 		return fmt.Errorf("scanserve: invalid genome path")

@@ -2,9 +2,11 @@ package scanserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,4 +216,61 @@ func TestSeedIndexJobMatchesFullScan(t *testing.T) {
 	if !bytes.Equal(indexed, full) {
 		t.Fatal("seed-index job output differs from the full-scan artifact")
 	}
+}
+
+// TestResumedJobWithRemovedEngineFailsPermanent covers a job persisted
+// before an upgrade that dropped its engine kind: submission validation
+// no longer sees it, so on restart the job runs, fails to build its
+// engine, and ends failed with a permanent class rather than retrying.
+func TestResumedJobWithRemovedEngineFailsPermanent(t *testing.T) {
+	genomePath, spec := scanFixture(t)
+	dir := t.TempDir()
+	blocked := make(chan struct{})
+	s := testService(t, Config{
+		Dir: dir, Workers: 1, DefaultGenome: genomePath,
+		RunScan: func(ctx context.Context, job Job) error {
+			close(blocked)
+			<-ctx.Done()
+			return ctx.Err()
+		},
+	})
+	job, err := s.Submit("", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+	// Rewrite the persisted record as an older release would have left
+	// it: same job, an engine kind this release does not register.
+	recPath := filepath.Join(dir, job.ID, jobRecordName)
+	data, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Job
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Spec.Engine = "hyperscan-dfa"
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{Dir: dir, DefaultGenome: genomePath, QuotaRate: -1, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Start()
+	defer s2.Drain(5 * time.Second)
+	final := waitTerminal(t, s2, job.ID)
+	if final.State != StateFailed || final.ErrorClass != "permanent" || final.Retries != 0 {
+		t.Fatalf("resumed job = %s class %q after %d retries (err %q), want failed, permanent, 0",
+			final.State, final.ErrorClass, final.Retries, final.Error)
+	}
+	if !strings.Contains(final.Error, `unknown engine "hyperscan-dfa"`) {
+		t.Errorf("error %q does not name the unknown engine", final.Error)
+	}
+	s.Drain(time.Second)
 }
