@@ -1,5 +1,5 @@
 // Command crisprlint is the repository's invariant checker: a
-// multichecker of eighteen custom analyzers that enforce the contracts
+// multichecker of fourteen custom analyzers that enforce the contracts
 // the code base otherwise keeps only by convention. Eight are syntactic
 // (enginereg, dnaalphabet, statsdiscipline, errwrap, clockguard,
 // ctxflow, logdiscipline, deferloop): engine-registry parity behind the
@@ -7,36 +7,23 @@
 // boundary, populated execution stats, the error-prefix/%w convention,
 // deterministic modeled-platform timing, context propagation through
 // the scan pipeline, library logging discipline, and no accumulating
-// defers in loops. Five are type-checked (hotpath, atomicfield,
-// lockorder, boundshint, loopinvariant): allocation- and
-// copy-freedom in //crisprlint:hotpath-annotated scan kernels, no torn
-// sync/atomic counters, documented `guarded by <mu>` mutex discipline,
-// slice accesses shaped to defeat bounds-check elimination, and
-// loop-invariant work trapped inside hot loops. Four are
-// interprocedural (goroutineleak, chandiscipline, waitsync, lockcycle),
-// built on a module-wide call graph with serialized per-function facts
-// under the vet protocol: provable goroutine termination paths, channel
-// close/send ownership, sync.WaitGroup protocol, and an acyclic
+// defers in loops. Four are type-checked (hotpath, lockorder,
+// loopinvariant, spanend): allocation- and copy-freedom in
+// //crisprlint:hotpath-annotated scan kernels, documented
+// `guarded by <mu>` mutex discipline, loop-invariant work trapped
+// inside hot loops, and every started trace span ended. Two are
+// interprocedural (goroutineleak, lockcycle), built on a module-wide
+// call graph: provable goroutine termination paths and an acyclic
 // module-wide lock-order graph.
 //
-// Standalone usage (whole-module analysis, including the cross-package
-// checks):
+// Usage (the named packages, default ./..., are loaded and analyzed
+// together, so the cross-package checks see the whole module):
 //
 //	go run ./cmd/crisprlint ./...
 //
 // Exit status: 0 clean, 3 findings, 1 operational error (mirroring
-// x/tools multicheckers). `-json` switches the standalone output to a
-// JSON array of findings for CI annotation. `-baseline <file>` filters
-// findings through a committed suppression baseline (burn-down list for
-// landing new analyzers module-wide); `-update-baseline` regenerates
-// that file from the current findings.
-//
-// Vet-tool usage (per-package, integrates with go vet's build cache;
-// the typed analyzers resolve imports from the go command's export
-// data):
-//
-//	go build -o /tmp/crisprlint ./cmd/crisprlint
-//	go vet -vettool=/tmp/crisprlint ./...
+// x/tools multicheckers). `-json` switches the output to a JSON array
+// of findings for CI annotation.
 //
 // `crisprlint help` lists the analyzers with their documentation. A
 // finding can be suppressed with a trailing or preceding comment
@@ -45,7 +32,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -53,7 +39,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"github.com/cap-repro/crisprscan/internal/analysis"
 )
@@ -65,48 +50,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("crisprlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	versionFlag := fs.String("V", "", "print version and exit (vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "print analyzer flags as JSON and exit (vet protocol)")
-	jsonFlag := fs.Bool("json", false, "standalone mode: emit findings as a JSON array on stdout")
-	baselineFlag := fs.String("baseline", "", "standalone mode: suppression baseline `file`; recorded findings are filtered out, new ones still fail")
-	updateBaseline := fs.Bool("update-baseline", false, "standalone mode: write the current findings to -baseline and exit 0")
+	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *updateBaseline && *baselineFlag == "" {
-		fmt.Fprintln(stderr, "crisprlint: -update-baseline requires -baseline")
-		return 1
-	}
-
-	switch {
-	case *versionFlag != "":
-		// The go command fingerprints the vet tool via `-V=full` and
-		// expects "<name> version <id>"-shaped output; hash the
-		// executable so rebuilds invalidate vet's cache.
-		fmt.Fprintf(stdout, "crisprlint version devel buildID=%s\n", selfHash())
-		return 0
-	case *flagsFlag:
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		n, err := analysis.RunVetUnit(rest[0], stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if n > 0 {
-			return 2 // vet protocol: diagnostics present
-		}
-		return 0
-	}
 	if len(rest) == 1 && rest[0] == "help" {
 		printHelp(stdout)
 		return 0
 	}
-	return runStandalone(rest, *jsonFlag, *baselineFlag, *updateBaseline, stdout, stderr)
+	return lint(rest, *jsonFlag, stdout, stderr)
 }
 
 // jsonFinding is the `-json` wire shape: one object per diagnostic,
@@ -119,7 +72,7 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func runStandalone(patterns []string, asJSON bool, baselinePath string, updateBaseline bool, stdout, stderr io.Writer) int {
+func lint(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 	fset := token.NewFileSet()
 	prog, err := analysis.Load(fset, ".", patterns...)
 	if err != nil {
@@ -135,29 +88,6 @@ func runStandalone(patterns []string, asJSON bool, baselinePath string, updateBa
 	for _, d := range diags {
 		p := fset.Position(d.Pos)
 		findings = append(findings, jsonFinding{File: p.Filename, Line: p.Line, Column: p.Column, Analyzer: d.Analyzer, Message: d.Message})
-	}
-	if baselinePath != "" {
-		if updateBaseline {
-			if err := writeLintBaseline(baselinePath, findings); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "crisprlint: wrote %s (%d finding(s) baselined)\n", baselinePath, len(findings))
-			return 0
-		}
-		allowed, err := readLintBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		var suppressed, stale int
-		findings, suppressed, stale = applyLintBaseline(findings, allowed)
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "crisprlint: %d finding(s) suppressed by %s\n", suppressed, baselinePath)
-		}
-		if stale > 0 {
-			fmt.Fprintf(stderr, "crisprlint: %d stale entr(y/ies) in %s — findings fixed; regenerate to burn the baseline down\n", stale, baselinePath)
-		}
 	}
 	if asJSON {
 		enc := json.NewEncoder(stdout)
@@ -187,24 +117,5 @@ func printHelp(w io.Writer) {
 		fmt.Fprintf(w, "  %-16s %s\n", a.Name, a.Doc)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "usage: crisprlint [packages]   (standalone, default ./...)")
-	fmt.Fprintln(w, "       go vet -vettool=$(command -v crisprlint) [packages]")
-}
-
-// selfHash fingerprints the running executable for the vet build cache.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	fmt.Fprintln(w, "usage: crisprlint [-json] [packages]   (default ./...)")
 }

@@ -7,12 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 )
 
 // TestJSONOutputSortedRoundTrip builds a throwaway module with known
-// findings, runs the standalone driver with -json, and checks the wire
+// findings, runs the driver with -json, and checks the wire
 // contract CI depends on: the output is a JSON array that decodes into
 // the finding shape, every element carries its analyzer name and a
 // full position, the array is sorted by (file, line, column, analyzer),
@@ -111,162 +110,5 @@ func b(paths []string) {
 	}
 	if !reflect.DeepEqual(got, again) {
 		t.Errorf("round-trip mismatch:\nfirst:  %+v\nsecond: %+v", got, again)
-	}
-}
-
-// TestBaselineRoundTrip exercises the -baseline suppression loop on a
-// throwaway module with known findings: record the findings with
-// -update-baseline, verify the written file is schema-versioned and
-// sorted, verify a re-run with -baseline suppresses everything (exit
-// 0, empty JSON array), verify parse(write(parse(file))) is lossless,
-// and verify both failure directions — a new finding beyond the
-// baselined count still fails, and a fixed finding is reported stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module github.com/cap-repro/crisprscan\n\ngo 1.22\n")
-	const twoDefers = `package fix
-
-type res struct{}
-
-func (res) Close() error { return nil }
-
-func open(string) res { return res{} }
-
-func a(paths []string) {
-	for _, p := range paths {
-		f := open(p)
-		defer f.Close()
-	}
-	for _, p := range paths {
-		f := open(p)
-		defer f.Close()
-	}
-}
-`
-	write("internal/fix/a.go", twoDefers)
-
-	t.Chdir(dir)
-	basePath := filepath.Join(dir, "LINT_BASELINE.txt")
-
-	// -update-baseline requires -baseline.
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-update-baseline", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-update-baseline without -baseline: exit = %d, want 1", code)
-	}
-
-	// Record the two deferloop findings.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-json", "-baseline", basePath, "-update-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-update-baseline exit = %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if lines[0] != lintBaselineSchema {
-		t.Fatalf("baseline schema line = %q, want %q", lines[0], lintBaselineSchema)
-	}
-	var entries []string
-	for _, l := range lines {
-		if l != "" && !strings.HasPrefix(l, "#") {
-			entries = append(entries, l)
-		}
-	}
-	if len(entries) != 1 || !strings.Contains(entries[0], "internal/fix/a.go deferloop: ") || !strings.HasSuffix(entries[0], "| x2") {
-		t.Fatalf("baseline entries = %q, want one aggregated deferloop x2 entry with a relative path", entries)
-	}
-	if !sort.StringsAreSorted(entries) {
-		t.Fatalf("baseline entries not sorted: %q", entries)
-	}
-
-	// Round-trip: parse -> write -> parse must be lossless.
-	allowed, err := readLintBaseline(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var synth []jsonFinding
-	for k, n := range allowed {
-		parts := strings.SplitN(k, "\x00", 3)
-		for i := 0; i < n; i++ {
-			synth = append(synth, jsonFinding{File: parts[0], Analyzer: parts[1], Message: parts[2]})
-		}
-	}
-	rewritten := filepath.Join(dir, "REWRITTEN.txt")
-	if err := writeLintBaseline(rewritten, synth); err != nil {
-		t.Fatal(err)
-	}
-	again, err := readLintBaseline(rewritten)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(allowed, again) {
-		t.Fatalf("baseline round-trip mismatch:\nfirst:  %v\nsecond: %v", allowed, again)
-	}
-
-	// Suppressed run: exit 0, empty JSON array, suppression note.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-json", "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("suppressed run exit = %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	var got []jsonFinding
-	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
-		t.Fatalf("decoding suppressed -json output: %v\n%s", err, stdout.String())
-	}
-	if len(got) != 0 {
-		t.Fatalf("suppressed run emitted %d finding(s), want 0: %+v", len(got), got)
-	}
-	if !strings.Contains(stderr.String(), "2 finding(s) suppressed") {
-		t.Fatalf("suppressed run stderr missing suppression note:\n%s", stderr.String())
-	}
-
-	// A third instance of the same finding exceeds the baselined count.
-	write("internal/fix/b.go", `package fix
-
-func b(paths []string) {
-	for _, p := range paths {
-		f := open(p)
-		defer f.Close()
-	}
-}
-`)
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-json", "-baseline", basePath, "./..."}, &stdout, &stderr); code != 3 {
-		t.Fatalf("new-finding run exit = %d, want 3; stderr:\n%s", code, stderr.String())
-	}
-	got = nil
-	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !strings.HasSuffix(filepath.ToSlash(got[0].File), "internal/fix/b.go") {
-		t.Fatalf("new-finding run kept %+v, want exactly the b.go finding", got)
-	}
-
-	// Fixing all findings leaves the baseline stale: exit 0 plus a
-	// burn-down nudge.
-	if err := os.Remove(filepath.Join(dir, "internal", "fix", "b.go")); err != nil {
-		t.Fatal(err)
-	}
-	write("internal/fix/a.go", "package fix\n")
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-json", "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("stale run exit = %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale") {
-		t.Fatalf("stale run stderr missing burn-down nudge:\n%s", stderr.String())
 	}
 }

@@ -9,26 +9,20 @@
 //
 // The framework has four tiers. The first-tier analyzers are purely
 // syntactic (AST + token positions). The typed tier (typecheck.go)
-// adds best-effort go/types information — via the stdlib source
-// importer standalone, or the go command's export data under the vet
-// protocol — for the hot-path analyzers: hotpath (allocation
-// freedom in annotated scan kernels), atomicfield (no torn counters),
-// lockorder (documented mutex discipline), boundshint (BCE-defeating
-// slice access shapes in hot loops), and loopinvariant (loop-invariant
-// computation in hot loops, gated by must-analysis). The interprocedural
-// tier (callgraph.go) builds a conservative module-wide call graph on
-// top of the typed tier and derives per-function facts — never
-// returns, transitive mutex acquisitions, lock-order edges — for the
-// concurrency analyzers: goroutineleak, chandiscipline, waitsync, and
-// lockcycle. Under the vet protocol those facts serialize to the
-// .vetx file the go command manages per package, so cross-package
-// conclusions survive per-package analysis. The fourth, compiler-
-// feedback tier lives outside the analyzer list: internal/perfgate and
-// cmd/perfgate close the loop by gating the compiler's own escape,
-// inlining, and bounds-check verdicts for the same hotpath spans
-// against a justified baseline. Either way the driver
-// works both as a standalone multichecker (cmd/crisprlint) and as a
-// `go vet -vettool` backend, with no network or third-party
+// adds best-effort go/types information, resolved by the stdlib source
+// importer, for hotpath (allocation freedom in annotated scan
+// kernels), lockorder (documented mutex discipline), loopinvariant
+// (loop-invariant computation in hot loops, gated by must-analysis)
+// and spanend (every started span ended). The interprocedural tier
+// (callgraph.go) builds a conservative module-wide call graph on top
+// of the typed tier and derives per-function facts — never returns,
+// transitive mutex acquisitions, lock-order edges — for goroutineleak
+// and lockcycle. The fourth, compiler-feedback tier lives outside the
+// analyzer list: internal/perfgate and cmd/perfgate gate the
+// compiler's own escape, inlining and bounds-check verdicts for the
+// same hotpath spans against a justified baseline. The driver is
+// cmd/crisprlint, which loads every named package (default ./...) into
+// one Program before any analyzer runs, with no network or third-party
 // dependencies.
 //
 // Suppression: a diagnostic can be silenced with a directive comment
@@ -44,7 +38,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -91,24 +84,12 @@ func (p *Package) AllFiles() []*ast.File {
 
 // Program is the whole loaded module: it gives analyzers cross-package
 // visibility (used by enginereg to compare the public API against the
-// internal registry). In per-package drivers (the vet protocol) it
-// holds only the package under analysis, and cross-package checks
-// degrade gracefully to no-ops.
+// internal registry, and by the interprocedural tier's call graph).
 type Program struct {
 	// ModulePath is the module's import-path prefix.
 	ModulePath string
 	// Packages maps import path to syntax.
 	Packages map[string]*Package
-	// VetImporter, when set by the vet-protocol driver, resolves imports
-	// from the export data the go command supplies; when nil the typed
-	// tier falls back to the stdlib source importer.
-	VetImporter types.Importer
-	// VetFactFiles, when set by the vet-protocol driver, maps the import
-	// path of each dependency to its serialized fact file (the .vetx the
-	// go command produced by running crisprlint on that dependency). The
-	// interprocedural tier reads callee summaries from it; missing
-	// entries degrade to conservative assumptions.
-	VetFactFiles map[string]string
 
 	typesOnce sync.Once
 	types     *typesState
@@ -243,14 +224,14 @@ func RunAnalyzers(fset *token.FileSet, prog *Program, analyzers []*Analyzer) ([]
 }
 
 // All returns the crisprlint analyzers in stable order: the syntactic
-// checkers from the first tier, the three type-checked ones, then the
+// checkers from the first tier, the type-checked ones, then the
 // interprocedural concurrency tier.
 func All() []*Analyzer {
 	return []*Analyzer{
 		EngineReg, DNAAlphabet, StatsDiscipline, ErrWrap, ClockGuard, CtxFlow,
 		LogDiscipline, DeferLoop,
-		HotPath, AtomicField, LockOrder, BoundsHint, LoopInvariant, SpanEnd,
-		GoroutineLeak, ChanDiscipline, WaitSync, LockCycle,
+		HotPath, LockOrder, LoopInvariant, SpanEnd,
+		GoroutineLeak, LockCycle,
 	}
 }
 

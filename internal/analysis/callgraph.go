@@ -26,46 +26,20 @@ package analysis
 //     without a *types.Func resolve to nothing and mark the caller as
 //     having unknown callees.
 //
-// Facts use name-based keys ("pkg/path.Func", "pkg/path.(Recv).Method")
-// so they serialize: under the `go vet -vettool` protocol each package
-// is analyzed alone, its facts are written to the VetxOutput file the
-// go command asks for (JSON — only crisprlint reads them back), and
-// imported packages' facts are loaded from PackageVetx. Cross-package
-// edges between siblings that do not import each other are only visible
-// to the standalone whole-module run, which is why CI runs both modes.
+// The graph is built once over every loaded package, so facts cross
+// package boundaries by construction; a callee outside the loaded
+// packages (the standard library, say) is assumed to return and to
+// take no module mutex. Functions are keyed by name ("pkg/path.Func",
+// "pkg/path.(Recv).Method") so diagnostics can print them.
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// FuncFact is the serialized interprocedural summary of one function.
-type FuncFact struct {
-	// NoReturn marks functions whose exit is unreachable: every control
-	// path loops or blocks forever.
-	NoReturn bool `json:"noreturn,omitempty"`
-	// Acquires lists the canonical mutex identities the function may
-	// lock, transitively.
-	Acquires []string `json:"acquires,omitempty"`
-	// LockEdges lists observed lock-order pairs [held, acquired].
-	LockEdges [][2]string `json:"lock_edges,omitempty"`
-}
-
-// PackageFacts is the on-disk fact set for one package (the payload of
-// a .vetx file under the vet protocol).
-type PackageFacts struct {
-	Version int                 `json:"version"`
-	Funcs   map[string]FuncFact `json:"funcs"`
-}
-
-// factsVersion guards the serialized fact format.
-const factsVersion = 1
 
 // maxAcquires bounds a single function's transitive acquisition set so
 // a pathological module cannot make fact computation quadratic.
@@ -83,7 +57,6 @@ type cgCall struct {
 type cgNode struct {
 	key  string
 	decl *ast.FuncDecl
-	pkg  *Package
 	ti   *TypeInfo
 	// calls are the body's resolved call sites (function literals are
 	// opaque: their call sites belong to no node — soundness caveat).
@@ -107,14 +80,11 @@ type lockSite struct {
 	pos token.Pos
 }
 
-// callGraph is the Program-wide (or, under vet, package-local) graph.
+// callGraph is the Program-wide graph.
 type callGraph struct {
 	nodes map[string]*cgNode
 	// methodsByName supports conservative interface resolution.
 	methodsByName map[string][]*cgNode
-	// imported facts, loaded lazily per package path under vet.
-	factFiles map[string]string
-	facts     map[string]*PackageFacts
 
 	// moduleLockEdges is memoized: lockcycle runs once per package but
 	// the edge set is a whole-Program property.
@@ -130,8 +100,6 @@ func (prog *Program) callGraphOf(fset *token.FileSet) *callGraph {
 		cg := &callGraph{
 			nodes:         make(map[string]*cgNode),
 			methodsByName: make(map[string][]*cgNode),
-			factFiles:     prog.VetFactFiles,
-			facts:         make(map[string]*PackageFacts),
 		}
 		paths := make([]string, 0, len(prog.Packages))
 		for path := range prog.Packages {
@@ -151,7 +119,7 @@ func (prog *Program) callGraphOf(fset *token.FileSet) *callGraph {
 					if !ok {
 						continue
 					}
-					node := &cgNode{key: funcKeyOf(fn), decl: fd, pkg: pkg, ti: ti}
+					node := &cgNode{key: funcKeyOf(fn), decl: fd, ti: ti}
 					node.collectBody(cg)
 					cg.nodes[node.key] = node
 					if fd.Recv != nil {
@@ -337,54 +305,12 @@ func interfaceCandidates(cg *callGraph, iface types.Type, name string) []string 
 	return keys
 }
 
-// importedFact looks up a fact for a function outside the loaded
-// Program (vet mode: a dependency whose .vetx file the go command gave
-// us). Missing packages or functions degrade to the zero fact.
-func (cg *callGraph) importedFact(key string) (FuncFact, bool) {
-	dot := strings.LastIndex(key, ".")
-	if dot < 0 {
-		return FuncFact{}, false
-	}
-	pkgPath := key[:dot]
-	if i := strings.Index(key, ".("); i >= 0 {
-		pkgPath = key[:i]
-	}
-	pf, ok := cg.facts[pkgPath]
-	if !ok {
-		pf = loadFacts(cg.factFiles[pkgPath])
-		cg.facts[pkgPath] = pf
-	}
-	if pf == nil {
-		return FuncFact{}, false
-	}
-	f, ok := pf.Funcs[key]
-	return f, ok
-}
-
-// loadFacts reads a serialized fact file, returning nil on any error
-// (fail-open: missing facts mean conservative assumptions, not noise).
-func loadFacts(path string) *PackageFacts {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var pf PackageFacts
-	if err := json.Unmarshal(data, &pf); err != nil || pf.Version != factsVersion {
-		return nil
-	}
-	return &pf
-}
-
 // noReturnOf reports whether the function behind key can never return.
 // Unresolvable keys and recursion assume the function returns.
 func (cg *callGraph) noReturnOf(key string) bool {
 	n, ok := cg.nodes[key]
 	if !ok {
-		f, _ := cg.importedFact(key)
-		return f.NoReturn
+		return false
 	}
 	if n.noReturnDone {
 		return n.noReturn
@@ -426,17 +352,12 @@ func bodyTerminates(body *ast.BlockStmt, ti *TypeInfo, cg *callGraph) bool {
 }
 
 // acquiresOf returns the transitive set of canonical mutex identities
-// the function may take. Recursion contributes nothing new; the set is
-// size-capped.
+// the function may take. Unresolvable keys take none; recursion
+// contributes nothing new; the set is size-capped.
 func (cg *callGraph) acquiresOf(key string) map[string]bool {
 	n, ok := cg.nodes[key]
 	if !ok {
-		f, _ := cg.importedFact(key)
-		out := make(map[string]bool, len(f.Acquires))
-		for _, id := range f.Acquires {
-			out[id] = true
-		}
-		return out
+		return nil
 	}
 	if n.acquiresDone {
 		return n.acquires
@@ -463,41 +384,6 @@ func (cg *callGraph) acquiresOf(key string) map[string]bool {
 	n.acquires = acq
 	n.acquiresDone = true
 	return acq
-}
-
-// EncodeFacts computes and serializes the fact set for one package's
-// functions — the vet protocol's .vetx payload.
-func EncodeFacts(fset *token.FileSet, prog *Program, pkg *Package) ([]byte, error) {
-	cg := prog.callGraphOf(fset)
-	pf := PackageFacts{Version: factsVersion, Funcs: make(map[string]FuncFact)}
-	for key, n := range cg.nodes {
-		if n.pkg != pkg {
-			continue
-		}
-		fact := FuncFact{NoReturn: cg.noReturnOf(key)}
-		acq := cg.acquiresOf(key)
-		for id := range acq {
-			fact.Acquires = append(fact.Acquires, id)
-		}
-		sort.Strings(fact.Acquires)
-		for _, e := range cg.lockEdgesOf(key) {
-			fact.LockEdges = append(fact.LockEdges, [2]string{e.held, e.acquired})
-		}
-		sortEdgePairs(fact.LockEdges)
-		if fact.NoReturn || len(fact.Acquires) > 0 || len(fact.LockEdges) > 0 {
-			pf.Funcs[key] = fact
-		}
-	}
-	return json.Marshal(&pf)
-}
-
-func sortEdgePairs(edges [][2]string) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
 }
 
 // lockEdge is one observed ordering: a mutex acquired (directly or via
@@ -594,54 +480,20 @@ func (cg *callGraph) lockEdgesOf(key string) []lockEdge {
 	return edges
 }
 
-// moduleLockEdges aggregates every function's lock edges (positions
-// survive for nodes in the loaded Program; imported facts contribute
-// position-less edges used only for path existence). The result is
+// moduleLockEdges aggregates every function's lock edges. The result is
 // computed once per Program.
 func (cg *callGraph) moduleLockEdges() []lockEdge {
 	cg.edgesOnce.Do(func() {
-		cg.moduleEdges = cg.computeModuleLockEdges()
+		keys := make([]string, 0, len(cg.nodes))
+		for key := range cg.nodes {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			cg.moduleEdges = append(cg.moduleEdges, cg.lockEdgesOf(key)...)
+		}
 	})
 	return cg.moduleEdges
-}
-
-func (cg *callGraph) computeModuleLockEdges() []lockEdge {
-	keys := make([]string, 0, len(cg.nodes))
-	for key := range cg.nodes {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var edges []lockEdge
-	for _, key := range keys {
-		edges = append(edges, cg.lockEdgesOf(key)...)
-	}
-	// Fold in edges from imported fact files (vet mode).
-	pkgs := make([]string, 0, len(cg.factFiles))
-	for p := range cg.factFiles {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	for _, p := range pkgs {
-		pf, ok := cg.facts[p]
-		if !ok {
-			pf = loadFacts(cg.factFiles[p])
-			cg.facts[p] = pf
-		}
-		if pf == nil {
-			continue
-		}
-		fkeys := make([]string, 0, len(pf.Funcs))
-		for k := range pf.Funcs {
-			fkeys = append(fkeys, k)
-		}
-		sort.Strings(fkeys)
-		for _, k := range fkeys {
-			for _, e := range pf.Funcs[k].LockEdges {
-				edges = append(edges, lockEdge{held: e[0], acquired: e[1], viaCall: k})
-			}
-		}
-	}
-	return edges
 }
 
 // resolveGoCallee resolves the function a `go` statement spawns, when

@@ -8,7 +8,9 @@ package analysis
 //     per-invocation;
 //   - funcCFG: basic blocks over ast.Stmt with approximate successor
 //     edges, used by lockorder's forward must-analysis ("is this mutex
-//     held on all paths reaching this access?").
+//     held on all paths reaching this access?"), loopinvariant's
+//     must-execution check, spanend's may-analysis, and the
+//     interprocedural tier's termination and lock-edge facts.
 //
 // The CFG is approximate in ways that are safe for a must-analysis
 // whose findings can be suppressed: goto edges jump straight to the
@@ -469,8 +471,7 @@ func (c *funcCFG) mustHeld(universe map[string]bool, genKill func(n ast.Node, he
 // is in the result set at a node when SOME path from the entry has
 // generated f without a subsequent kill — joins union instead of
 // intersecting, and blocks start empty (unreachable code stays empty,
-// so dead code never produces findings). chandiscipline uses it for
-// "this channel may already be closed here".
+// so dead code never produces findings).
 //
 // exitIn is the converged may-set at the function's exit block: the
 // facts that reach the end of the body, or any return, on at least one

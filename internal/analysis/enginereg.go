@@ -17,8 +17,8 @@ import (
 //     AllEngines (the cross-engine parity matrix), so a new engine is
 //     automatically pulled into the differential gate;
 //   - the public crisprscan package must re-export every EngineKind
-//     constant (whole-program mode only; skipped under `go vet`, which
-//     analyzes one package at a time).
+//     constant (checked when the root package and internal/core are
+//     loaded together, as `crisprlint ./...` does).
 var EngineReg = &Analyzer{
 	Name: "enginereg",
 	Doc: "every core.EngineKind must be listed in AllEngines, dispatched by NewEngine, " +

@@ -17,8 +17,8 @@ import (
 //   - `for range ch` terminates when the channel closes, so it counts
 //     as a termination path by itself;
 //   - a call to a function that itself never returns (computed
-//     transitively over the call graph, across packages via serialized
-//     facts under the vet protocol) diverges at the call site.
+//     transitively over the module-wide call graph) diverges at the
+//     call site.
 //
 // `go f(x)` spawning a declared function or method checks f's own
 // termination fact. Unresolvable callees (function values, interface

@@ -406,6 +406,15 @@ func isByteOrRuneSlice(t types.Type) bool {
 		e.Kind() == types.Uint8 || e.Kind() == types.Int32)
 }
 
+func isMapIndex(ti *TypeInfo, n *ast.IndexExpr) bool {
+	tv, ok := ti.Info.Types[n.X]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}
+
 func unparen(e ast.Expr) ast.Expr {
 	for {
 		p, ok := e.(*ast.ParenExpr)

@@ -12,16 +12,6 @@ func TestGoroutineLeakRequiresTerminationPath(t *testing.T) {
 		analysistest.Pkg{Dir: "goroutineleak", Path: analysistest.ModulePath + "/internal/glfix"})
 }
 
-func TestChanDisciplineEnforcesOwnership(t *testing.T) {
-	analysistest.Run(t, analysis.ChanDiscipline,
-		analysistest.Pkg{Dir: "chandiscipline", Path: analysistest.ModulePath + "/internal/cdfix"})
-}
-
-func TestWaitSyncEnforcesWaitGroupProtocol(t *testing.T) {
-	analysistest.Run(t, analysis.WaitSync,
-		analysistest.Pkg{Dir: "waitsync", Path: analysistest.ModulePath + "/internal/wsfix"})
-}
-
 func TestLockCycleFlagsOrderInversions(t *testing.T) {
 	analysistest.Run(t, analysis.LockCycle,
 		analysistest.Pkg{Dir: "lockcycle", Path: analysistest.ModulePath + "/internal/lcfix"})

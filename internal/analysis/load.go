@@ -27,9 +27,7 @@ type listedPackage struct {
 
 // Load resolves the given package patterns with the go tool, parses
 // every matched package (including its test files), and returns the
-// whole program. It is the standalone-multichecker loader; the vet
-// protocol path (unitchecker.go) builds its Program from the vet
-// config instead.
+// whole program.
 func Load(fset *token.FileSet, dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

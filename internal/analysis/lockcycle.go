@@ -19,11 +19,9 @@ import (
 // Only module-wide mutexes participate (struct fields and package-level
 // vars of type sync.Mutex/RWMutex; locals cannot be contended across
 // functions). Edges come from a must-held analysis, so a path that
-// provably releases A before taking B contributes nothing. Under the
-// vet protocol the edge set also folds in the serialized facts of
-// imported packages; edges between sibling packages that do not import
-// each other are only visible to the standalone whole-module run, which
-// is why CI runs both modes.
+// provably releases A before taking B contributes nothing. The graph
+// spans every loaded package, so an inversion split across sibling
+// packages that do not import each other is still seen.
 //
 // Each offending acquisition site is reported in the package that
 // contains it (the analyzer runs per package but consults the shared

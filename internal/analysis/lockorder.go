@@ -26,9 +26,8 @@ import (
 // skipped (a closure's locking context is its call sites', which a
 // per-function analysis cannot see).
 //
-// Test files are exempt for the same reason as atomicfield: tests
-// construct and inspect values single-goroutine, before and after the
-// concurrency they exercise.
+// Test files are exempt: tests construct and inspect values
+// single-goroutine, before and after the concurrency they exercise.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "fields documented `// guarded by <mu>` must only be accessed with " +

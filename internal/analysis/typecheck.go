@@ -3,22 +3,16 @@ package analysis
 // This file is the type-checked tier of the analysis framework. The
 // original crisprlint analyzers are purely syntactic; the hot-path
 // invariants added for the throughput work (allocation-free scan
-// kernels, atomics discipline, lock ordering) need go/types: interface
-// boxing is invisible in syntax, and field identity across selector
-// expressions requires resolved objects.
+// kernels, lock ordering) need go/types: interface boxing is invisible
+// in syntax, and field identity across selector expressions requires
+// resolved objects.
 //
 // The tier keeps the zero-dependency constraint by using only the
-// standard library:
-//
-//   - in the standalone multichecker, each package's already-parsed
-//     files are type-checked against the Pass's own FileSet, with
-//     imports resolved by go/importer's "source" importer (which
-//     understands module-local import paths by delegating to go/build,
-//     and typechecks the stdlib from source);
-//   - in the `go vet -vettool` protocol, the go command hands us export
-//     data for every dependency (ImportMap/PackageFile in the vet
-//     config), so imports resolve through the "gc" importer exactly as
-//     x/tools' unitchecker does.
+// standard library: each package's already-parsed files are
+// type-checked against the Pass's own FileSet, with imports resolved by
+// go/importer's "source" importer (which understands module-local
+// import paths by delegating to go/build, and typechecks the stdlib
+// from source).
 //
 // Type checking is best-effort: errors are collected, not fatal, and
 // the typed analyzers degrade to silence where information is missing
@@ -53,12 +47,7 @@ type TypeInfo struct {
 type typesState struct {
 	mu       sync.Mutex
 	infos    map[string]*TypeInfo
-	fallback types.Importer
-
-	// atomicfield's module-wide index of atomically-accessed fields,
-	// built once on first demand (see atomicfield.go).
-	atomicOnce sync.Once
-	atomicIdx  map[string]atomicUse
+	importer types.Importer
 
 	// the interprocedural tier's call graph and memoized function
 	// facts, built once on first demand (see callgraph.go).
@@ -75,12 +64,6 @@ func (prog *Program) typeState() *typesState {
 	return prog.types
 }
 
-// importerFunc adapts a function to types.Importer (the same shim
-// x/tools' unitchecker uses for the vet protocol's export-data maps).
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 // TypeCheck type-checks pkg's non-test files and memoizes the result.
 // Concurrent callers are serialized; the importer is shared across
 // packages so stdlib and module-local dependencies are checked once.
@@ -91,21 +74,17 @@ func (prog *Program) TypeCheck(fset *token.FileSet, pkg *Package) *TypeInfo {
 	if ti, ok := st.infos[pkg.Path]; ok {
 		return ti
 	}
-	if st.fallback == nil {
-		if prog.VetImporter != nil {
-			st.fallback = prog.VetImporter
-		} else {
-			// The "source" importer resolves module-local paths through
-			// go/build (which consults the go command in module mode) and
-			// typechecks the standard library from source — no export
-			// data, no network, no third-party loader.
-			st.fallback = importer.ForCompiler(fset, "source", nil)
-		}
+	if st.importer == nil {
+		// The "source" importer resolves module-local paths through
+		// go/build (which consults the go command in module mode) and
+		// typechecks the standard library from source — no export
+		// data, no network, no third-party loader.
+		st.importer = importer.ForCompiler(fset, "source", nil)
 	}
 	ti := &TypeInfo{Info: newTypesInfo()}
 	var firstErr error
 	conf := types.Config{
-		Importer: st.fallback,
+		Importer: st.importer,
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
@@ -134,7 +113,7 @@ func newTypesInfo() *types.Info {
 }
 
 // Types returns best-effort type information for the package under
-// analysis. The result is memoized on the Program, so the three typed
+// analysis. The result is memoized on the Program, so the typed
 // analyzers share one check per package.
 func (p *Pass) Types() *TypeInfo {
 	if p.Program == nil {

@@ -115,12 +115,10 @@ func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) err
 		inSeed = inSeed[:spacerLen]
 		for p := 0; p+site <= len(seq); p++ {
 			candidates++
-			//crisprlint:allow boundshint the per-position PAM window is the modeled cost of this deliberately naive baseline
 			if !pamOK(pam, seq[p+pamOff:p+pamOff+len(pam)]) {
 				continue
 			}
 			pamHits++
-			//crisprlint:allow boundshint the per-position spacer window is the modeled cost of this deliberately naive baseline
 			window := seq[p+spacerOff : p+spacerOff+spacerLen]
 			if window.HasAmbiguous() {
 				continue

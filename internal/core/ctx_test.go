@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"github.com/cap-repro/crisprscan/internal/automata"
 	"github.com/cap-repro/crisprscan/internal/faultinject"
 	"github.com/cap-repro/crisprscan/internal/genome"
+	"github.com/cap-repro/crisprscan/internal/report"
 )
 
 // setEngineHook installs a test-only engine wrapper and restores the
@@ -150,5 +152,111 @@ func TestSearchContextCleanRunMatchesSearch(t *testing.T) {
 		if got.Sites[i] != want.Sites[i] {
 			t.Fatalf("site %d differs: %+v vs %+v", i, got.Sites[i], want.Sites[i])
 		}
+	}
+}
+
+// midChromCanceler walks its target chromosome through an arch.ChunkScan
+// pool on the ctx the orchestrator hands to ScanChromContext, cancels
+// the search once cancelAt chunks have run, and only then lets the real
+// engine scan. The pool can stop before the chromosome's last chunk only
+// if the search's own ctx reached the engine.
+type midChromCanceler struct {
+	arch.Engine
+	target   string
+	cancelAt int
+	cancel   context.CancelFunc
+	ran      int // chunks of target run; the pool has one worker
+}
+
+func (e *midChromCanceler) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+	if c.Name == e.target {
+		_, err := arch.ChunkScan(ctx, "mid-chrom "+c.Name, 1, len(c.Seq), arch.DefaultChunk, nil,
+			func(lo, hi int, _ *[]automata.Report) error {
+				e.ran++
+				if e.ran == e.cancelAt {
+					e.cancel()
+				}
+				return nil
+			})
+		if err != nil {
+			return err
+		}
+	}
+	return arch.ScanChrom(ctx, e.Engine, c, emit)
+}
+
+// TestCancelInsideChromosome cancels part-way through the second of two
+// chromosomes, each five chunks long, on all three ctx-taking drivers.
+// The scan must stop inside that chromosome with a wrapped
+// context.Canceled naming it, before its last chunk, and report only
+// the first chromosome's bytes and sites. The drivers' own
+// between-chromosome checks cannot produce this error, so it fails if
+// the per-chromosome step scans on a ctx other than the caller's.
+func TestCancelInsideChromosome(t *testing.T) {
+	const chunks = 5
+	g, guides, _ := plantedFixture(t, 306, 3, (chunks-1)*arch.DefaultChunk+1000, genome.PlantPlan{0: 2, 1: 2})
+	first, target := g.Chroms[0].Name, g.Chroms[1].Name
+	blob := bytes.Join(fastaRecords(t, g), nil)
+	p := Params{MaxMismatches: 2, Workers: 1}
+
+	drivers := []struct {
+		name string
+		run  func(ctx context.Context) (*Stats, []report.Site, error)
+	}{
+		{"SearchContext", func(ctx context.Context) (*Stats, []report.Site, error) {
+			res, err := SearchContext(ctx, g, guides, p)
+			if res == nil {
+				return nil, nil, err
+			}
+			return &res.Stats, res.Sites, err
+		}},
+		{"SearchStreamContext", func(ctx context.Context) (*Stats, []report.Site, error) {
+			var sites []report.Site
+			st, err := SearchStreamContext(ctx, bytes.NewReader(blob), guides, p, nil, func(s report.Site) error {
+				sites = append(sites, s)
+				return nil
+			})
+			return st, sites, err
+		}},
+		{"SearchGenomeStreamContext", func(ctx context.Context) (*Stats, []report.Site, error) {
+			var sites []report.Site
+			st, err := SearchGenomeStreamContext(ctx, g, guides, p, nil, func(s report.Site) error {
+				sites = append(sites, s)
+				return nil
+			})
+			return st, sites, err
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var eng *midChromCanceler
+			setEngineHook(t, func(e arch.Engine) arch.Engine {
+				eng = &midChromCanceler{Engine: e, target: target, cancelAt: 2, cancel: cancel}
+				return eng
+			})
+			stats, sites, err := d.run(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("error does not wrap context.Canceled: %v", err)
+			}
+			if !strings.Contains(err.Error(), "core: chromosome "+target) {
+				t.Fatalf("cancellation did not surface inside chromosome %s: %v", target, err)
+			}
+			if eng.ran >= chunks {
+				t.Fatalf("%s ran all %d chunks before stopping", target, eng.ran)
+			}
+			if stats == nil || stats.BytesScanned != len(g.Chroms[0].Seq) {
+				t.Fatalf("partial Stats should cover %s only: %+v", first, stats)
+			}
+			if len(sites) == 0 {
+				t.Fatalf("no sites from the completed chromosome %s", first)
+			}
+			for _, s := range sites {
+				if s.Chrom != first {
+					t.Fatalf("canceled chromosome %s leaked site %+v", target, s)
+				}
+			}
+		})
 	}
 }

@@ -80,7 +80,6 @@ func (e *Engine) scanBitapPacked(seq dna.Seq, base int, emit func(automata.Repor
 	for pi := range e.packed {
 		p := &e.packed[pi]
 		k := p.k
-		_ = rows[k] // one check here lets prove elide every rows[j], j <= k
 		for j := 0; j <= k; j++ {
 			rows[j] = 0
 		}

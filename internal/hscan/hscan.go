@@ -303,7 +303,6 @@ func (e *Engine) scanBitap(seq dna.Seq, base int, emit func(automata.Report)) {
 	for pi := range e.pats {
 		p := &e.pats[pi]
 		k := p.k
-		_ = rows[k] // one check here lets prove elide every rows[j], j <= k
 		for j := 0; j <= k; j++ {
 			rows[j] = 0
 		}

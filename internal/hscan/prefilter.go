@@ -215,7 +215,6 @@ func (e *Engine) scanPrefilter(c *genome.Chromosome, lo, hi int, out *[]automata
 	// Each group's PAM-hit mask for the current block.
 	//crisprlint:allow hotpath one slice per chunk, sized by the engine's group count
 	hitMask := make([]uint64, len(groups))
-	hitMask = hitMask[:len(groups)] // states the loop bound for boundshint; compiles to nothing
 	// masks alternates between the current and the next block's set
 	// masks. code and ambig hold the two blocks' planes plus a zero
 	// word, so a window starting anywhere in the current block reads

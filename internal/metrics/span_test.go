@@ -24,41 +24,85 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// validTraceparent is the W3C Trace Context specification's example.
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// malformedTraceparents are headers ParseTraceparent must reject.
+var malformedTraceparents = []struct {
+	name, in string
+}{
+	{"empty", ""},
+	{"whitespace", "   "},
+	{"garbage", "not-a-traceparent"},
+	{"three fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7"},
+	{"version ff", strings.Replace(validTraceparent, "00-", "ff-", 1)},
+	{"version not hex", strings.Replace(validTraceparent, "00-", "zz-", 1)},
+	{"version one char", strings.Replace(validTraceparent, "00-", "0-", 1)},
+	{"version 00 extra field", validTraceparent + "-deadbeef"},
+	{"short trace id", "00-4bf92f3577b34da6-00f067aa0ba902b7-01"},
+	{"short parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa-01"},
+	{"long flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0101"},
+	{"non-hex trace id", "00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01"},
+	{"non-hex parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902zz-01"},
+	{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01"},
+	{"all-zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01"},
+}
+
+// futureTraceparent is a future version carrying extra fields; its known
+// prefix parses.
+var futureTraceparent = strings.Replace(validTraceparent, "00-", "cc-", 1) + "-extra-fields"
+
 func TestParseTraceparentMalformed(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"whitespace", "   "},
-		{"garbage", "not-a-traceparent"},
-		{"three fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7"},
-		{"version ff", strings.Replace(valid, "00-", "ff-", 1)},
-		{"version not hex", strings.Replace(valid, "00-", "zz-", 1)},
-		{"version one char", strings.Replace(valid, "00-", "0-", 1)},
-		{"version 00 extra field", valid + "-deadbeef"},
-		{"short trace id", "00-4bf92f3577b34da6-00f067aa0ba902b7-01"},
-		{"short parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa-01"},
-		{"long flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0101"},
-		{"non-hex trace id", "00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01"},
-		{"non-hex parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902zz-01"},
-		{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01"},
-		{"all-zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedTraceparents {
 		if _, _, _, err := ParseTraceparent(tc.in); err == nil {
 			t.Errorf("%s: ParseTraceparent(%q) accepted malformed input", tc.name, tc.in)
 		}
 	}
-	// A future version may carry extra fields; the known prefix parses.
-	future := strings.Replace(valid, "00-", "cc-", 1) + "-extra-fields"
-	if _, _, sampled, err := ParseTraceparent(future); err != nil || !sampled {
-		t.Errorf("future-version traceparent %q: err=%v sampled=%v, want accepted and sampled", future, err, sampled)
+	if _, _, sampled, err := ParseTraceparent(futureTraceparent); err != nil || !sampled {
+		t.Errorf("future-version traceparent %q: err=%v sampled=%v, want accepted and sampled", futureTraceparent, err, sampled)
 	}
 	// Surrounding whitespace is trimmed, as proxies sometimes pad.
-	if _, _, _, err := ParseTraceparent("  " + valid + "  "); err != nil {
+	if _, _, _, err := ParseTraceparent("  " + validTraceparent + "  "); err != nil {
 		t.Errorf("padded traceparent rejected: %v", err)
 	}
+}
+
+// FuzzParseTraceparent checks the decoder every POST /v1/jobs header
+// goes through: it never panics; a rejection carries the metrics:
+// prefix and a zero result; an accepted header has nonzero IDs that
+// survive FormatTraceparent and a re-parse; and a version-00 header
+// with flags 00 or 01 formats back to exactly its trimmed self.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(validTraceparent)
+	for _, tc := range malformedTraceparents {
+		f.Add(tc.in)
+	}
+	f.Add(futureTraceparent)
+	f.Fuzz(func(t *testing.T, in string) {
+		tid, sid, sampled, err := ParseTraceparent(in)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "metrics: ") {
+				t.Fatalf("error %q lacks the metrics: prefix", err)
+			}
+			if !tid.IsZero() || !sid.IsZero() || sampled {
+				t.Fatalf("rejected %q but returned (%s, %s, %v)", in, tid, sid, sampled)
+			}
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("accepted %q with a zero ID (%s, %s)", in, tid, sid)
+		}
+		out := FormatTraceparent(tid, sid, sampled)
+		tid2, sid2, sampled2, err := ParseTraceparent(out)
+		if err != nil || tid2 != tid || sid2 != sid || sampled2 != sampled {
+			t.Fatalf("re-parse of %q (from %q) = (%s, %s, %v, %v), want (%s, %s, %v)",
+				out, in, tid2, sid2, sampled2, err, tid, sid, sampled)
+		}
+		trimmed := strings.TrimSpace(in)
+		if strings.HasPrefix(trimmed, "00-") && (strings.HasSuffix(trimmed, "-00") || strings.HasSuffix(trimmed, "-01")) && out != trimmed {
+			t.Fatalf("version-00 header %q formats as %q", trimmed, out)
+		}
+	})
 }
 
 func TestSpanTreeHierarchy(t *testing.T) {

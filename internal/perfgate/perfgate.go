@@ -1,8 +1,8 @@
 // Package perfgate is the compiler-feedback performance gate for the
 // scan kernels: the engine behind cmd/perfgate. The source-level
-// analyzers (hotpath, boundshint, loopinvariant) explain *why* a kernel
-// should miss an optimization; perfgate closes the loop with the
-// compiler's own verdicts. It builds every package containing a
+// analyzers (hotpath, loopinvariant) flag what a kernel should not do;
+// perfgate closes the loop with the compiler's own verdicts, and is the
+// only gate on bounds checks. It builds every package containing a
 // //crisprlint:hotpath directive with
 //
 //	go build -gcflags='<pkg>=-m=2 -d=ssa/check_bce/debug=1' <pkg>
