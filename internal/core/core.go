@@ -265,6 +265,9 @@ type search struct {
 	rec      *metrics.Recorder
 	prog     *metrics.Progress
 	stats    Stats
+	// events buffers one chromosome's scan events for the verify loop;
+	// chrom reuses it across chromosomes.
+	events []automata.Report
 }
 
 // newSearch validates params, builds the engine, cost model and
@@ -332,6 +335,7 @@ func prepare(guides []dna.Pattern, p *Params) (*search, error) {
 	if err != nil {
 		return nil, err
 	}
+	resolver.MaxMismatches = p.MaxMismatches
 	name := engine.Name()
 	if model != nil {
 		name = model.Name()
@@ -352,35 +356,37 @@ func prepare(guides []dna.Pattern, p *Params) (*search, error) {
 // time, bytes and events and, for a modeled kind, the model's transfer,
 // kernel and report time. It marks the chromosome started; the caller
 // marks it finished once done with its sites.
+//
+// The scan only buffers its events; one loop after it verifies them
+// into col, so the clock is read per phase rather than per event. An
+// aborted scan verifies nothing.
 func (s *search) chrom(ctx context.Context, c *genome.Chromosome, col *report.Collector) error {
 	s.prog.StartChrom(c.Name, int64(len(c.Seq)))
-	var addErr error
-	// Event resolution runs inline in the emit callback, so the
-	// chromosome's verify share is measured per event and subtracted
-	// from the scan stopwatch to get the pure prefilter time.
-	var verifyNs int64
-	events := 0
 	endSpan := s.rec.TraceSpan("scan " + c.Name)
+	s.events = s.events[:0]
 	swScan := metrics.NewStopwatch()
 	err := scanChromSafe(ctx, s.engine, c, func(r automata.Report) {
-		events++
-		t0 := metrics.Now()
-		if e := col.Add(c, r); e != nil && addErr == nil {
-			addErr = e
-		}
-		verifyNs += metrics.Now() - t0
+		s.events = append(s.events, r)
 	})
 	scanNs := swScan.ElapsedNanos()
-	endSpan()
+	events := len(s.events)
 	s.stats.Events += events
+	var verifyNs int64
 	if err == nil {
-		err = addErr
+		swVerify := metrics.NewStopwatch()
+		for _, ev := range s.events {
+			if err = col.Add(c, ev); err != nil {
+				break
+			}
+		}
+		verifyNs = swVerify.ElapsedNanos()
 	}
+	endSpan()
 	if err != nil {
 		return fmt.Errorf("core: chromosome %s: %w", c.Name, err)
 	}
+	s.rec.AddPhaseNanos(metrics.PhasePrefilter, scanNs)
 	s.rec.AddPhaseNanos(metrics.PhaseVerify, verifyNs)
-	s.rec.AddPhaseNanos(metrics.PhasePrefilter, scanNs-verifyNs)
 	// Bytes are counted here, per completed chromosome — never per
 	// chunk, where overlap regions would double-count (see the
 	// accounting regression tests).

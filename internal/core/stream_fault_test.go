@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
+	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/fasta"
 	"github.com/cap-repro/crisprscan/internal/faultinject"
 	"github.com/cap-repro/crisprscan/internal/genome"
+	"github.com/cap-repro/crisprscan/internal/hscan"
 	"github.com/cap-repro/crisprscan/internal/report"
 )
 
@@ -222,5 +224,48 @@ func TestSearchStreamCancelMidStream(t *testing.T) {
 	}
 	if stats == nil || stats.BytesScanned != len(g.Chroms[0].Seq) {
 		t.Fatalf("partial Stats wrong after cancellation: %+v", stats)
+	}
+}
+
+// TestOverBudgetEngineFails swaps in an engine that reports windows
+// past the search's mismatch budget (the NFA compiled at k = 10 for a
+// k = 2 search). Re-verification must turn those windows into an error
+// from every search entry point rather than into sites.
+func TestOverBudgetEngineFails(t *testing.T) {
+	g := genome.Synthesize(genome.SynthConfig{Seed: 7, ChromLen: 200_000})
+	pam := dna.MustParsePattern("NGG")
+	var guides []dna.Pattern
+	for _, s := range genome.SampleGuides(g, 4, 20, pam, 8) {
+		guides = append(guides, dna.PatternFromSeq(s))
+	}
+	setEngineHook(t, func(arch.Engine) arch.Engine {
+		e, err := hscan.New(BuildSpecs(guides, pam, 10, false), hscan.ModeNFA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	})
+	p := Params{MaxMismatches: 2}
+	blob := bytes.Join(fastaRecords(t, g), nil)
+	yield := func(report.Site) error { return nil }
+	runs := map[string]func() error{
+		"SearchContext": func() error {
+			_, err := SearchContext(context.Background(), g, guides, p)
+			return err
+		},
+		"SearchStreamContext": func() error {
+			_, err := SearchStreamContext(context.Background(), bytes.NewReader(blob), guides, p, nil, yield)
+			return err
+		},
+		"SearchGenomeStreamContext": func() error {
+			_, err := SearchGenomeStreamContext(context.Background(), g, guides, p, nil, yield)
+			return err
+		},
+	}
+	for name, run := range runs {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "over budget 2") {
+			t.Errorf("%s: want an over-budget error, got %v", name, err)
+		}
 	}
 }

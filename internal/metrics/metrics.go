@@ -48,13 +48,16 @@ const (
 	// construction, engine build, device placement.
 	PhaseCompile
 	// PhasePrefilter is the raw engine scan — the candidate-generating
-	// pass (literal prefilter, bitap sweep, automata simulation, ...)
-	// excluding the per-event verification charged to PhaseVerify.
+	// pass (literal prefilter, bitap sweep, automata simulation, ...).
+	// The scan only buffers its events; verifying them is PhaseVerify.
 	PhasePrefilter
-	// PhaseVerify is event resolution: re-verifying each raw match
-	// against the sequence, mismatch counting and deduplication.
+	// PhaseVerify is event re-verification: one loop after each
+	// chromosome's scan re-checks every buffered event against the
+	// sequence (PAM, mismatch recount and budget) and stores a compact
+	// record of the site.
 	PhaseVerify
-	// PhaseReport is output assembly: site sorting, coordinate
+	// PhaseReport is output assembly: sorting the records, dropping
+	// duplicate events, rendering the site strings, coordinate
 	// adjustment and delivery to the caller.
 	PhaseReport
 	// NumPhases bounds the Phase enum.
@@ -278,8 +281,9 @@ func (r *Recorder) StartSpan(p Phase, label string) func() {
 }
 
 // TraceSpan opens a tracer span without charging any phase — used
-// where the caller accounts phase time itself (per-chromosome scan
-// spans whose verify sub-intervals are subtracted out).
+// where the caller accounts phase time itself (the per-chromosome scan
+// span, which covers the scan and the verify loop after it and charges
+// each to its own phase).
 func (r *Recorder) TraceSpan(label string) func() {
 	if r == nil {
 		return func() {}
@@ -392,12 +396,12 @@ type PhaseSeconds struct {
 	Load float64 `json:"load"`
 	// Compile is pattern-set compilation and engine-build time.
 	Compile float64 `json:"compile"`
-	// Prefilter is raw engine scan time (candidate generation),
-	// excluding per-event verification.
+	// Prefilter is raw engine scan time (candidate generation).
 	Prefilter float64 `json:"prefilter"`
-	// Verify is event-resolution time (re-verification, dedup).
+	// Verify is the re-verification loop run after each scan.
 	Verify float64 `json:"verify"`
-	// Report is output-assembly time (sorting, yield delivery).
+	// Report is output-assembly time (sort, dedup, site strings,
+	// yield delivery).
 	Report float64 `json:"report"`
 }
 

@@ -87,6 +87,12 @@ func TestResolveErrors(t *testing.T) {
 	if _, err := r.Resolve(c, automata.Report{Code: 0, End: 12}); err == nil {
 		t.Error("invalid PAM must error (engine-bug detector)")
 	}
+	// The minus site at 14 has one mismatch: over a budget of zero.
+	tight := *r
+	tight.MaxMismatches = 0
+	if _, err := tight.Resolve(c, automata.Report{Code: CodeFor(0, '-'), End: 21}); err == nil || !strings.Contains(err.Error(), "chrT:14-") {
+		t.Errorf("recount over the budget must error and name the site, got %v", err)
+	}
 }
 
 func TestNewResolverErrors(t *testing.T) {
@@ -172,5 +178,40 @@ func TestWriteBED(t *testing.T) {
 	}
 	if !strings.Contains(out, "chr2\t50\t58\tguide2\t0\t-") {
 		t.Errorf("BED score must clamp at 0: %q", out)
+	}
+}
+
+func TestCollectorAddAllocatesNothing(t *testing.T) {
+	r, c, _ := fixture(t)
+	col := NewCollector(r)
+	ev := automata.Report{Code: CodeFor(0, '-'), End: 21}
+	for i := 0; i < 1000; i++ {
+		if err := col.Add(c, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sites drops the duplicates; the record slice keeps its capacity.
+	if sites := col.Sites(); len(sites) != 1 {
+		t.Fatalf("%d sites, want 1", len(sites))
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := col.Add(c, ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Collector.Add allocates %v per event once its slice has grown", allocs)
+	}
+}
+
+func TestRowAppendersAllocateNothing(t *testing.T) {
+	s := Site{Guide: 12, Chrom: "chr2", Pos: 1234567, Strand: '-', Mismatches: 3, SiteSeq: "ACGTACGTACGTACGTACGTAGG", Alignment: "..T.A..............C"}
+	buf := make([]byte, 0, 256)
+	for name, appendRow := range map[string]func([]byte, Site) []byte{
+		"AppendTSVRow": AppendTSVRow, "AppendBEDRow": AppendBEDRow,
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { buf = appendRow(buf[:0], s) }); allocs != 0 {
+			t.Errorf("%s allocates %v per row into a buffer with room", name, allocs)
+		}
 	}
 }
