@@ -298,7 +298,7 @@ func TestRunServesAdminEndpoint(t *testing.T) {
 	if reg.completed != 1 || len(reg.live) != 0 {
 		t.Fatalf("registry after run: completed=%d live=%d, want 1, 0", reg.completed, len(reg.live))
 	}
-	if agg := reg.agg.Snapshot(); agg.Counters.BytesScanned != 3*30000 {
+	if agg := reg.agg.MergedWith(); agg.Counters.BytesScanned != 3*30000 {
 		t.Errorf("aggregated bytes = %d, want %d", agg.Counters.BytesScanned, 3*30000)
 	}
 }

@@ -27,9 +27,10 @@
 // Robustness: -timeout bounds the whole search; SIGINT/SIGTERM trigger
 // a graceful shutdown (complete output is flushed, the checkpoint
 // journal stays valid, exit status is nonzero). With -stream
-// -checkpoint, an interrupted run resumed with identical arguments
-// appends exactly the missing chromosomes, so the final output equals
-// an uninterrupted run's byte for byte.
+// -checkpoint -o, an interrupted or killed run resumed with identical
+// arguments cuts -o back to its last committed chromosome and appends
+// exactly the missing ones, so the final output equals an
+// uninterrupted run's byte for byte.
 //
 // With -serve, offtarget runs as a long-lived multi-tenant scan
 // service instead: jobs are submitted to POST /v1/jobs on the -http
@@ -56,7 +57,6 @@ import (
 	"time"
 
 	"github.com/cap-repro/crisprscan"
-	"github.com/cap-repro/crisprscan/internal/checkpoint"
 	"github.com/cap-repro/crisprscan/internal/metrics"
 	"github.com/cap-repro/crisprscan/internal/report"
 )
@@ -88,17 +88,15 @@ type config struct {
 	logFormat  string
 	logLevel   string
 
-	serve             bool
-	serveDir          string
-	serveGenomeDir    string
-	serveWorkers      int
-	serveQueue        int
-	serveQuotaRate    float64
-	serveQuotaBurst   int
-	serveRetries      int
-	serveDrain        time.Duration
-	traceSample       string
-	serveTenantLabels int
+	serve           bool
+	serveDir        string
+	serveGenomeDir  string
+	serveWorkers    int
+	serveQueue      int
+	serveQuotaRate  float64
+	serveQuotaBurst int
+	serveRetries    int
+	serveDrain      time.Duration
 
 	log     *slog.Logger      // defaults to slog.Default()
 	onAdmin func(addr string) // test hook: observes the bound -http address
@@ -168,8 +166,6 @@ func main() {
 	flag.IntVar(&cfg.serveQuotaBurst, "serve-quota-burst", 8, "per-tenant submission burst size")
 	flag.IntVar(&cfg.serveRetries, "serve-retries", 3, "transient-failure retries per job")
 	flag.DurationVar(&cfg.serveDrain, "serve-drain", 30*time.Second, "grace window for in-flight jobs on SIGTERM before they are checkpointed for resume")
-	flag.StringVar(&cfg.traceSample, "trace-sample", "always", "job-trace sampling for -serve: always, errors (retain only failed/retried), or ratio:<p> (deterministic per-trace-ID fraction, e.g. ratio:0.1)")
-	flag.IntVar(&cfg.serveTenantLabels, "serve-tenant-labels", 32, "distinct tenant labels on /metrics before the rest fold into \"other\"")
 	flag.BoolVar(&showVersion, "version", false, "print version information and exit")
 	flag.Parse()
 
@@ -205,6 +201,25 @@ func run(ctx context.Context, cfg *config) (err error) {
 	if cfg.genomePath == "" && cfg.indexPath == "" {
 		return fmt.Errorf("missing -genome (or -index)")
 	}
+	if cfg.bulge > 0 {
+		if name := bulgeIgnores(cfg); name != "" {
+			return fmt.Errorf("-bulge does not support %s", name)
+		}
+	}
+	if cfg.ckptPath != "" {
+		switch {
+		case !cfg.stream:
+			return fmt.Errorf("-checkpoint requires -stream")
+		case cfg.genomePath == "":
+			// The journal names FASTA records; without the file there is
+			// nothing to resume against.
+			return fmt.Errorf("-stream -checkpoint requires -genome")
+		case cfg.outPath == "":
+			// A resume cuts the output back to its last commit, which
+			// stdout cannot do.
+			return fmt.Errorf("-checkpoint requires -o")
+		}
+	}
 	logger := cfg.logger().With("engine", cfg.engineName, "k", cfg.k, "pam", cfg.pam)
 	guides, err := loadGuides(cfg.guidesPath, cfg.guideSeq)
 	if err != nil {
@@ -239,31 +254,14 @@ func run(ctx context.Context, cfg *config) (err error) {
 		defer cancel()
 	}
 
-	// Resume state must be probed before the output file is opened:
-	// a resumed run appends to its previous output instead of
-	// truncating it (and does not repeat the TSV header).
-	resuming := false
-	if cfg.ckptPath != "" {
-		if !cfg.stream {
-			return fmt.Errorf("-checkpoint requires -stream")
-		}
-		doneChroms, doneSites, err := checkpoint.Probe(cfg.ckptPath)
-		if err != nil {
-			return err
-		}
-		resuming = doneChroms > 0
-		if resuming {
-			logger.Info("resuming from checkpoint",
-				"chromosomes", doneChroms, "sites", doneSites, "journal", cfg.ckptPath)
-		}
-	}
-
 	out := io.Writer(os.Stdout)
 	var outFile *os.File
 	if cfg.outPath != "" {
+		// A checkpointed run keeps the output of the run it resumes: the
+		// journal's output writer cuts it back to the last commit.
 		mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-		if resuming {
-			mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
+		if cfg.ckptPath != "" {
+			mode = os.O_RDWR | os.O_CREATE
 		}
 		outFile, err = os.OpenFile(cfg.outPath, mode, 0o644)
 		if err != nil {
@@ -390,7 +388,7 @@ func run(ctx context.Context, cfg *config) (err error) {
 	}
 
 	if cfg.stream {
-		return runStream(ctx, cfg, guides, params, w, resuming, logger)
+		return runStream(ctx, cfg, guides, params, w, outFile, logger)
 	}
 
 	var g *crisprscan.Genome
@@ -471,9 +469,9 @@ func logStats(logger *slog.Logger, sites int, st *crisprscan.Stats, extra ...any
 
 // runStream executes the constant-memory streaming mode: rows are
 // written from the yield callback as each chromosome completes (never
-// buffered genome-wide), and with -checkpoint each chromosome is
-// journaled after its rows reach the output writer.
-func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, params crisprscan.Params, w *bufio.Writer, resuming bool, logger *slog.Logger) error {
+// buffered genome-wide). With -checkpoint the rows go to outFile
+// through the journal's exactly-once writer instead of w.
+func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, params crisprscan.Params, w *bufio.Writer, outFile *os.File, logger *slog.Logger) error {
 	if cfg.bulge > 0 {
 		return fmt.Errorf("-stream does not support -bulge")
 	}
@@ -488,37 +486,32 @@ func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, para
 			return err
 		}
 		defer f.Close()
-	} else if cfg.ckptPath != "" {
-		// Checkpoint journaling tracks FASTA byte offsets; without the
-		// file there is nothing to resume against.
-		return fmt.Errorf("-stream -checkpoint requires -genome")
 	}
 
-	if !cfg.bed && !resuming {
-		if err := crisprscan.WriteSitesTSVHeader(w); err != nil {
-			return err
-		}
-	}
 	count := 0
-	emit := func(s crisprscan.Site) error {
-		count++
-		if cfg.bed {
-			return crisprscan.WriteSiteBED(w, s)
-		}
-		return crisprscan.WriteSiteTSV(w, s)
+	ctrl := &crisprscan.StreamControl{
+		ChromDone: func(name string, sites int, scannedBases int64) error {
+			count += sites
+			logger.Debug("chromosome complete",
+				"chrom", name, "sites", sites, "scanned_bases", scannedBases)
+			return nil
+		},
 	}
-
 	var st *crisprscan.Stats
 	var err error
 	if cfg.ckptPath != "" {
-		st, err = crisprscan.SearchStreamCheckpoint(ctx, f, guides, params, cfg.ckptPath, w.Flush, emit)
+		st, err = crisprscan.SearchStreamCheckpoint(ctx, f, guides, params, ctrl, cfg.ckptPath, outFile, cfg.bed)
 	} else {
-		ctrl := &crisprscan.StreamControl{
-			ChromDone: func(name string, sites int, scannedBases int64) error {
-				logger.Debug("chromosome complete",
-					"chrom", name, "sites", sites, "scanned_bases", scannedBases)
-				return nil
-			},
+		if !cfg.bed {
+			if err := crisprscan.WriteSitesTSVHeader(w); err != nil {
+				return err
+			}
+		}
+		emit := func(s crisprscan.Site) error {
+			if cfg.bed {
+				return crisprscan.WriteSiteBED(w, s)
+			}
+			return crisprscan.WriteSiteTSV(w, s)
 		}
 		if f != nil {
 			st, err = crisprscan.SearchStreamContext(ctx, f, guides, params, ctrl, emit)
@@ -543,6 +536,28 @@ func runStream(ctx context.Context, cfg *config, guides []crisprscan.Guide, para
 		return err
 	}
 	return nil
+}
+
+// bulgeIgnores names the first flag set that the -bulge search would
+// ignore, or "" when there is none.
+func bulgeIgnores(cfg *config) string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-engine", cfg.engineName != "" && cfg.engineName != string(crisprscan.EngineHyperscan)},
+		{"-alt-pam", cfg.altPAM != ""},
+		{"-region", cfg.region != ""},
+		{"-bed", cfg.bed},
+		{"-summary", cfg.summary},
+		{"-workers", cfg.workers > 1},
+		{"-timeout", cfg.timeout != 0},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // loadGuides reads guides from a file, a literal flag, or both.

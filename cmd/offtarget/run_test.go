@@ -176,9 +176,9 @@ func TestRunCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = crisprscan.SearchStreamCheckpoint(ctx, gf, guides, params, ckpt,
-		func() error { cancel(); return nil },
-		func(s crisprscan.Site) error { return crisprscan.WriteSiteTSV(pf, s) })
+	_, err = crisprscan.SearchStreamCheckpoint(ctx, gf, guides, params,
+		&crisprscan.StreamControl{ChromDone: func(string, int, int64) error { cancel(); return nil }},
+		ckpt, pf, false)
 	gf.Close()
 	if cerr := pf.Close(); cerr != nil {
 		t.Fatal(cerr)
@@ -212,6 +212,140 @@ func TestRunCheckpointResumeByteIdentical(t *testing.T) {
 		outPath: filepath.Join(dir, "bad.tsv"), stream: true, ckptPath: ckpt}
 	if err := run(context.Background(), badCfg); err == nil || !strings.Contains(err.Error(), "different parameters") {
 		t.Fatalf("changed -k must be rejected on resume, got %v", err)
+	}
+}
+
+// TestRunCheckpointResumesACrashExactlyOnce resumes a checkpointed
+// -stream run from the disk states a kill -9 or an older build leaves,
+// starting from a finished run's output and journal cut back to its
+// first chromosome.
+func TestRunCheckpointResumesACrashExactlyOnce(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 800)
+	dir := t.TempDir()
+	cfg := func(name string) *config {
+		return &config{genomePath: genomePath, guidesPath: guidesPath, k: 4, pam: "NGG", workers: 1,
+			stream: true, outPath: filepath.Join(dir, name+".tsv"), ckptPath: filepath.Join(dir, name+".ckpt")}
+	}
+	if err := run(context.Background(), cfg("full")); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(dir, "full.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "full.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal map[string]any
+	if err := json.Unmarshal(data, &journal); err != nil {
+		t.Fatal(err)
+	}
+	entries := journal["entries"].([]any)
+	first := entries[0].(map[string]any)
+	// The watermark after chromosome 1 is the end of its last row.
+	var wm int64
+	for off := 0; off < len(full); {
+		line := full[off : off+bytes.IndexByte(full[off:], '\n')+1]
+		off += len(line)
+		if bytes.Contains(line, []byte("\t"+first["chrom"].(string)+"\t")) {
+			wm = int64(off)
+		}
+	}
+	if len(entries) < 2 || wm == 0 || wm >= int64(len(full)) {
+		t.Fatalf("fixture needs rows on chromosome 1 and after it: entries %v, %d-byte output", entries, len(full))
+	}
+	if got, _ := first["out_bytes"].(float64); int64(got) != wm {
+		t.Errorf("journal watermark after chromosome 1 = %v, want %d", first["out_bytes"], wm)
+	}
+	first["out_bytes"] = wm
+	nextRow := full[wm:]
+	nextRow = nextRow[:bytes.IndexByte(nextRow, '\n')+1]
+
+	// crash writes the state a run leaves after committing chromosome 1:
+	// the journal holds that entry (edit may change it) and the output
+	// holds out.
+	crash := func(t *testing.T, name string, out []byte, edit func(map[string]any)) *config {
+		t.Helper()
+		c := cfg(name)
+		entry := map[string]any{}
+		for k, v := range first {
+			entry[k] = v
+		}
+		if edit != nil {
+			edit(entry)
+		}
+		doc := map[string]any{"version": journal["version"], "fingerprint": journal["fingerprint"], "entries": []any{entry}}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.ckptPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.outPath, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	t.Run("torn row past the watermark", func(t *testing.T) {
+		torn := append(append([]byte(nil), full[:wm]...), nextRow[:len(nextRow)/2]...)
+		c := crash(t, "torn", torn, nil)
+		if err := run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(c.outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, full) {
+			t.Fatalf("resumed output differs from the uninterrupted run:\n%s\nwant:\n%s", got, full)
+		}
+	})
+
+	// Both of these must fail before writing: resuming would lose or
+	// duplicate journaled rows.
+	for _, tc := range []struct {
+		name, want string
+		out        []byte
+		edit       func(map[string]any)
+	}{
+		{"output shorter than the watermark", "delete the journal", full[:wm-1], nil},
+		{"journal without watermarks", "delete it", full[:wm], func(e map[string]any) { delete(e, "out_bytes") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := crash(t, "bad", tc.out, tc.edit)
+			err := run(context.Background(), c)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resume error %v, want one containing %q", err, tc.want)
+			}
+			if got, _ := os.ReadFile(c.outPath); !bytes.Equal(got, tc.out) {
+				t.Fatalf("failed resume rewrote the output: %q", got)
+			}
+		})
+	}
+}
+
+// TestRunBulgeRejectsIgnoredFlags: the bulge search takes none of these
+// flags, so each fails by name instead of being silently ignored.
+func TestRunBulgeRejectsIgnoredFlags(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 807)
+	for flag, set := range map[string]func(*config){
+		"-engine":  func(c *config) { c.engineName = "casot" },
+		"-alt-pam": func(c *config) { c.altPAM = "NAG" },
+		"-region":  func(c *config) { c.region = "chr1:0-1000" },
+		"-bed":     func(c *config) { c.bed = true },
+		"-summary": func(c *config) { c.summary = true },
+		"-workers": func(c *config) { c.workers = 4 },
+		"-timeout": func(c *config) { c.timeout = time.Nanosecond },
+	} {
+		c := &config{genomePath: genomePath, guidesPath: guidesPath, k: 1, bulge: 1, pam: "NGG",
+			engineName: string(crisprscan.EngineHyperscan), workers: 1, outPath: filepath.Join(t.TempDir(), "out.tsv")}
+		set(c)
+		if err := run(context.Background(), c); err == nil || err.Error() != "-bulge does not support "+flag {
+			t.Errorf("%s: got %v, want -bulge does not support %s", flag, err, flag)
+		}
 	}
 }
 

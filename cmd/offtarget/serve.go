@@ -5,31 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"github.com/cap-repro/crisprscan/internal/metrics"
 	"github.com/cap-repro/crisprscan/internal/scanserve"
 )
-
-// parseTraceSample maps the -trace-sample flag onto the service's
-// sampling knobs: "always", "errors", or "ratio:<p>" with p in [0, 1].
-func parseTraceSample(v string) (mode string, ratio float64, err error) {
-	switch {
-	case v == "" || v == metrics.SampleAlways:
-		return metrics.SampleAlways, 0, nil
-	case v == metrics.SampleErrors:
-		return metrics.SampleErrors, 0, nil
-	case strings.HasPrefix(v, metrics.SampleRatio+":"):
-		p, perr := strconv.ParseFloat(strings.TrimPrefix(v, metrics.SampleRatio+":"), 64)
-		if perr != nil || p < 0 || p > 1 {
-			return "", 0, fmt.Errorf("bad -trace-sample ratio %q (want a fraction in [0, 1])", v)
-		}
-		return metrics.SampleRatio, p, nil
-	default:
-		return "", 0, fmt.Errorf("bad -trace-sample %q (want always, errors, or ratio:<p>)", v)
-	}
-}
 
 // runServe runs the long-lived multi-tenant scan service: the job API
 // and the admin endpoint share one listener, jobs and their outputs
@@ -50,10 +29,6 @@ func runServe(ctx context.Context, cfg *config) error {
 	if cfg.reg == nil {
 		cfg.reg = newScanRegistry()
 	}
-	traceMode, traceRatio, err := parseTraceSample(cfg.traceSample)
-	if err != nil {
-		return err
-	}
 	// In serve mode -trace names the per-job Chrome trace artifact each
 	// finished job leaves in its spool directory (one file per job, not
 	// one shared timeline), so only the base name is meaningful.
@@ -69,21 +44,18 @@ func runServe(ctx context.Context, cfg *config) error {
 		quotaRate = -1
 	}
 	svc, err := scanserve.New(scanserve.Config{
-		Dir:             cfg.serveDir,
-		DefaultGenome:   cfg.genomePath,
-		GenomeDir:       cfg.serveGenomeDir,
-		Workers:         cfg.serveWorkers,
-		MaxQueue:        cfg.serveQueue,
-		QuotaRate:       quotaRate,
-		QuotaBurst:      cfg.serveQuotaBurst,
-		MaxRetries:      cfg.serveRetries,
-		AttemptTimeout:  cfg.timeout,
-		Seed:            metrics.Now(),
-		Log:             logger,
-		TraceMode:       traceMode,
-		TraceRatio:      traceRatio,
-		TraceFile:       traceFile,
-		MaxTenantLabels: cfg.serveTenantLabels,
+		Dir:            cfg.serveDir,
+		DefaultGenome:  cfg.genomePath,
+		GenomeDir:      cfg.serveGenomeDir,
+		Workers:        cfg.serveWorkers,
+		MaxQueue:       cfg.serveQueue,
+		QuotaRate:      quotaRate,
+		QuotaBurst:     cfg.serveQuotaBurst,
+		MaxRetries:     cfg.serveRetries,
+		AttemptTimeout: cfg.timeout,
+		Seed:           metrics.Now(),
+		Log:            logger,
+		TraceFile:      traceFile,
 		// Every job attempt registers with the scan registry, so
 		// /metrics and /debug/scans show service jobs exactly like
 		// one-shot scans (live progress while running, folded into the

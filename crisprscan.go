@@ -92,15 +92,6 @@ type ProgressSnapshot = metrics.ProgressSnapshot
 // NewProgressTracker returns an idle progress tracker.
 func NewProgressTracker() *ProgressTracker { return metrics.NewProgress() }
 
-// MetricsAggregator merges MetricsSnapshots across scans into one
-// process-lifetime view — the backing store for Prometheus-style
-// exposition, where counters must be monotonic across scrapes for the
-// life of the process.
-type MetricsAggregator = metrics.Aggregator
-
-// NewMetricsAggregator returns an empty aggregator.
-func NewMetricsAggregator() *MetricsAggregator { return metrics.NewAggregator() }
-
 // NewTracer starts a trace with a fresh trace identity and a root span
 // named "scan".
 func NewTracer() *Tracer {
@@ -458,29 +449,52 @@ func FingerprintParams(guides []Guide, p Params) string {
 }
 
 // SearchStreamCheckpoint is SearchStreamContext with chromosome-
-// granularity checkpoint/resume journaled at path: chromosomes the
-// journal already lists are skipped, and each newly completed
-// chromosome is committed to the journal (atomic write-rename) after
-// its sites have been yielded — and after flush, when non-nil, has
-// succeeded, so callers can force their output downstream of yield to
-// stable storage before the chromosome is marked done (at-least-once
-// delivery). A journal written under different guides or Params is
-// rejected with a fingerprint error before any scanning starts.
-func SearchStreamCheckpoint(ctx context.Context, r io.Reader, guides []Guide, p Params, path string, flush func() error, yield func(Site) error) (*Stats, error) {
+// granularity checkpoint/resume journaled at path, writing the sites to
+// out as TSV (or BED6 when bed is set) exactly once. Chromosomes the
+// journal already lists are skipped. Each completed chromosome's rows
+// are flushed and, for a file, synced before the chromosome is
+// committed together with the output size; a resume cuts a file back to
+// that size first, so rows a crash left past it are re-emitted, not
+// duplicated. out must be the same file on every run, opened without
+// truncation; a destination that cannot be truncated must hold exactly
+// the committed bytes. A journal written under different guides or
+// Params is rejected with a fingerprint error before any scanning
+// starts. ctrl, when non-nil, may set ChromDone to observe each
+// chromosome after its commit; the journal decides which chromosomes to
+// skip, so ctrl.SkipChrom must be nil.
+func SearchStreamCheckpoint(ctx context.Context, r io.Reader, guides []Guide, p Params, ctrl *StreamControl, path string, out io.Writer, bed bool) (*Stats, error) {
+	if ctrl != nil && ctrl.SkipChrom != nil {
+		return nil, fmt.Errorf("crisprscan: SearchStreamCheckpoint: the journal decides which chromosomes to skip")
+	}
 	j, err := checkpoint.Open(path, FingerprintParams(guides, p))
 	if err != nil {
 		return nil, err
 	}
-	ctrl := &StreamControl{
+	header, writeSite := WriteSitesTSVHeader, WriteSiteTSV
+	if bed {
+		header, writeSite = nil, WriteSiteBED
+	}
+	o, err := j.Output(out, header)
+	if err != nil {
+		return nil, err
+	}
+	jctrl := &StreamControl{
 		SkipChrom: j.Done,
 		ChromDone: func(name string, sites int, scannedBases int64) error {
-			if flush != nil {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := o.Commit(name, sites, scannedBases); err != nil {
+				return err
 			}
-			return j.Commit(checkpoint.Entry{Chrom: name, Sites: sites, ScannedBases: scannedBases})
+			if ctrl != nil && ctrl.ChromDone != nil {
+				return ctrl.ChromDone(name, sites, scannedBases)
+			}
+			return nil
 		},
 	}
-	return SearchStreamContext(ctx, r, guides, p, ctrl, yield)
+	st, err := SearchStreamContext(ctx, r, guides, p, jctrl, func(s Site) error { return writeSite(o, s) })
+	// Each commit flushed its rows; this delivers what came after the
+	// last one, such as the header of a scan that committed nothing.
+	if ferr := o.Flush(); ferr != nil && err == nil {
+		err = ferr
+	}
+	return st, err
 }

@@ -121,11 +121,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// IsTestFile reports whether the file containing pos is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // InModulePackage reports whether the analyzed package's import path is
 // exactly the module root or sits under it at the given suffix
 // ("internal/dna"). An empty suffix matches the module root package.

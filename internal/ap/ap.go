@@ -13,8 +13,7 @@
 // per board. Kernel time on a real AP is deterministic (symbols x clock
 // x passes, plus output-event stalls), which is what makes the analytic
 // model faithful. The sites come from the orchestrator's reference
-// scan; TraceScan runs the placed network through the shared simulator
-// for cycle-level statistics.
+// scan.
 package ap
 
 import (
@@ -193,9 +192,6 @@ func (m *Model) Resources() arch.ResourceUsage { return m.res }
 
 // Streams reports the input-level parallelism achieved by replication.
 func (m *Model) Streams() int { return m.streams }
-
-// NFA exposes the placed automata network (for ANML export and stats).
-func (m *Model) NFA() *automata.NFA { return m.nfa }
 
 // EstimateBreakdown implements arch.Modeled. The kernel streams
 // inputLen bases (x symbolsPerBase symbols) through the board passes

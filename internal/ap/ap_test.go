@@ -58,7 +58,7 @@ func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Repor
 func simulate(m *Model, seq dna.Seq) []automata.Report {
 	var out []automata.Report
 	emit := func(r automata.Report) { out = append(out, r) }
-	sim := automata.NewSim(m.NFA())
+	sim := automata.NewSim(m.nfa)
 	if m.opt.Stride2 {
 		automata.ScanStride2(sim, automata.SymbolsOfSeq(seq), emit)
 	} else {
@@ -215,8 +215,5 @@ func TestModeledInterface(t *testing.T) {
 	s2, _ := Compile(randSpecs(rng, 2, 8, 1), Options{Stride2: true})
 	if s2.Name() != "ap-stride2" {
 		t.Errorf("name = %s", s2.Name())
-	}
-	if m.NFA() == nil {
-		t.Error("NFA accessor nil")
 	}
 }

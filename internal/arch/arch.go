@@ -299,17 +299,6 @@ func (b Breakdown) Total() float64 {
 	return b.Compile + b.Transfer + b.Kernel + b.Report
 }
 
-// Add accumulates another breakdown (used when a scan needs multiple
-// passes or covers multiple chromosomes).
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Compile:  b.Compile + o.Compile,
-		Transfer: b.Transfer + o.Transfer,
-		Kernel:   b.Kernel + o.Kernel,
-		Report:   b.Report + o.Report,
-	}
-}
-
 // Online returns the on-line time (everything but the one-time compile)
 // without transfer overlap: transfer + kernel + report.
 func (b Breakdown) Online() float64 { return b.Transfer + b.Kernel + b.Report }
@@ -361,25 +350,9 @@ func (r ResourceUsage) Utilization() float64 {
 	return float64(r.States) / float64(r.Capacity*maxInt(r.Passes, 1))
 }
 
-// PassesFor computes the pass count for a state demand and capacity.
-func PassesFor(states, capacity int) int {
-	if capacity <= 0 || states <= 0 {
-		return 1
-	}
-	return (states + capacity - 1) / capacity
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// MeasuredSeconds runs fn once and returns wall-clock seconds; the
-// harness uses it for the measured engines. It delegates to the
-// metrics package's monotonic clock — the modeled platforms themselves
-// must stay analytic (see the clockguard analyzer).
-func MeasuredSeconds(fn func() error) (float64, error) {
-	return metrics.MeasureSeconds(fn)
 }

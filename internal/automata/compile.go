@@ -177,10 +177,6 @@ func CompileHamming(spacer dna.Pattern, opt CompileOptions) (*NFA, error) {
 	return n, nil
 }
 
-// SiteLen returns the genomic window length a Hamming automaton's match
-// spans (spacer plus PAM).
-func SiteLen(spacerLen int, pam dna.Pattern) int { return spacerLen + len(pam) }
-
 // HammingStateCount predicts the state count CompileHamming produces for
 // a concrete spacer, for resource planning without building the
 // automaton. Exposed because the AP placement model sizes boards from it.

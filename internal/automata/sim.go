@@ -80,11 +80,6 @@ func NewSim(n *NFA) *Sim {
 	return s
 }
 
-// StepCount is the number of symbols the simulator consumes per input
-// index (1 for stride-1 automata). Stride-2 simulation wraps Sim; see
-// stride.go.
-func (s *Sim) NumStates() int { return len(s.n.States) }
-
 // Scan runs the automaton over input and calls emit for every report.
 // Input symbols must be < Alphabet or DeadSymbol. emit receives match
 // end positions in input-index coordinates. The scratch bitsets are

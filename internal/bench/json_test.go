@@ -75,9 +75,6 @@ func TestRunMatrixReportSchema(t *testing.T) {
 		}
 		// Every measured engine must carry a per-phase breakdown whose
 		// dominant component is the scan itself.
-		if e.Phases.Total() <= 0 {
-			t.Errorf("%s: empty phase breakdown", e.Key())
-		}
 		if e.Phases.Prefilter <= 0 {
 			t.Errorf("%s: zero prefilter phase", e.Key())
 		}

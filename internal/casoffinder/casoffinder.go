@@ -266,9 +266,3 @@ func (e *Engine) Comparisons(genomeLen int, pamHitRate float64) (pamTests, space
 	}
 	return positions * float64(len(e.groups)), spacerCompares
 }
-
-// NumGuides returns the compiled guide count.
-func (e *Engine) NumGuides() int { return e.numGuides }
-
-// SiteLen returns the window length.
-func (e *Engine) SiteLen() int { return e.siteLen }

@@ -10,16 +10,19 @@
 // The journal is a single JSON document rewritten via write-to-temp +
 // rename after every committed chromosome, so a crash at any instant
 // leaves either the previous journal or the new one on disk, never a
-// torn file. Commit ordering is at-least-once: callers flush their
-// output before Commit, so a hard crash between the two can only cause
-// a completed chromosome to be re-emitted on resume, never dropped.
+// torn file. Output writes the scan's rows exactly once on top of it:
+// rows reach the output before their chromosome commits, each commit
+// records the output size, and a resume cuts the output back to that
+// size before the re-scan appends.
 package checkpoint
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,15 +36,11 @@ type Entry struct {
 	// Sites is the number of off-target sites the chromosome yielded.
 	Sites int `json:"sites"`
 	// ScannedBases is the cumulative reference bases scanned through the
-	// end of this chromosome (the Stats.BytesScanned watermark).
+	// end of this chromosome, across every run that added to the
+	// journal.
 	ScannedBases int64 `json:"scanned_bases"`
-	// OutBytes is the cumulative size of the caller's output artifact
-	// after this chromosome's rows were durably flushed, when the caller
-	// tracks one (0 otherwise). A resuming caller truncates its output
-	// to the last committed watermark before appending, which turns the
-	// journal's at-least-once delivery into exactly-once bytes: a crash
-	// between output flush and Commit re-emits the chromosome into the
-	// truncated file instead of duplicating it.
+	// OutBytes is the size of the output after this chromosome's rows
+	// were flushed and synced (see Output).
 	OutBytes int64 `json:"out_bytes,omitempty"`
 }
 
@@ -101,36 +100,20 @@ func Open(path, fingerprint string) (*Journal, error) {
 	if j.file.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("checkpoint: journal %s was written by a search with different parameters (fingerprint %s, this run %s): resume with the original guides/k/PAM/engine or delete the journal", path, j.file.Fingerprint, fingerprint)
 	}
+	var prev Entry
 	for _, e := range j.file.Entries {
 		if j.done[e.Chrom] {
 			return nil, fmt.Errorf("checkpoint: journal %s lists chromosome %q twice", path, e.Chrom)
 		}
+		// A resume truncates the output to the last watermark, so a
+		// watermark that shrinks would drop committed rows.
+		if e.Sites < 0 || e.ScannedBases < prev.ScannedBases || e.OutBytes < prev.OutBytes {
+			return nil, fmt.Errorf("checkpoint: journal %s entry %q has a negative count or a watermark below the entry before it; delete it and rerun", path, e.Chrom)
+		}
 		j.done[e.Chrom] = true
+		prev = e
 	}
 	return j, nil
-}
-
-// Probe reports how many chromosomes (and sites) a journal at path has
-// already completed, without fingerprint validation — the CLI uses it
-// to decide between fresh-output and append-to-output mode before the
-// search (and its full validation via Open) starts. A missing file
-// probes as zero work done.
-func Probe(path string) (chroms, sites int, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: probing journal: %w", err)
-	}
-	var f journalFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: journal %s is corrupt: %w", path, err)
-	}
-	for _, e := range f.Entries {
-		sites += e.Sites
-	}
-	return len(f.Entries), sites, nil
 }
 
 // Done reports whether the named chromosome is already journaled as
@@ -139,11 +122,14 @@ func (j *Journal) Done(chrom string) bool { return j.done[chrom] }
 
 // OutBytes returns the last committed output-size watermark (see
 // Entry.OutBytes), or 0 for an empty journal.
-func (j *Journal) OutBytes() int64 {
+func (j *Journal) OutBytes() int64 { return j.last().OutBytes }
+
+// last returns the newest entry, or the zero Entry.
+func (j *Journal) last() Entry {
 	if n := len(j.file.Entries); n > 0 {
-		return j.file.Entries[n-1].OutBytes
+		return j.file.Entries[n-1]
 	}
-	return 0
+	return Entry{}
 }
 
 // Chroms returns the number of journaled chromosomes.
@@ -172,6 +158,100 @@ func (j *Journal) Commit(e Entry) error {
 	}
 	data = append(data, '\n')
 	return atomicWrite(j.path, data)
+}
+
+// Output writes a checkpointed scan's rows exactly once. Rows are
+// buffered; Commit flushes and syncs them, then journals the
+// chromosome with the output size as its watermark. Opened on a resumed
+// journal, Output first cuts the file back to the last watermark, so
+// rows a crash left between a flush and its commit are dropped and
+// re-emitted by the re-scan instead of duplicated.
+type Output struct {
+	j     *Journal
+	bw    *bufio.Writer
+	sync  func() error // nil when the destination cannot be synced
+	n     int64        // output size once bw is flushed
+	bases int64        // bases journaled before this run
+}
+
+// Output positions out at the journal's watermark and returns the
+// writer for the rest of the scan. When out can be truncated and
+// positioned (an *os.File), the bytes past the watermark are cut off,
+// and a file shorter than the watermark is an error. A destination that
+// cannot be truncated must already hold exactly the committed bytes.
+// header, when non-nil, writes the column header at byte 0 only.
+func (j *Journal) Output(out io.Writer, header func(io.Writer) error) (*Output, error) {
+	wm := j.OutBytes()
+	if wm == 0 && j.Sites() > 0 {
+		// Journals written before outputs carried a watermark: cutting
+		// the output back to 0 and skipping the journaled chromosomes
+		// would lose their rows.
+		return nil, fmt.Errorf("checkpoint: journal %s lists %d sites but no output watermark; delete it and rerun", j.path, j.Sites())
+	}
+	if f, ok := out.(interface {
+		io.Seeker
+		Truncate(size int64) error
+	}); ok {
+		size, err := f.Seek(0, io.SeekEnd)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: sizing output: %w", err)
+		}
+		if size < wm {
+			return nil, fmt.Errorf("checkpoint: output holds %d bytes but journal %s committed %d; delete the journal and rerun", size, j.path, wm)
+		}
+		if err := f.Truncate(wm); err != nil {
+			return nil, fmt.Errorf("checkpoint: truncating output to watermark %d: %w", wm, err)
+		}
+		if _, err := f.Seek(wm, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("checkpoint: seeking output: %w", err)
+		}
+	}
+	o := &Output{j: j, bw: bufio.NewWriter(out), n: wm, bases: j.last().ScannedBases}
+	if s, ok := out.(interface{ Sync() error }); ok {
+		o.sync = s.Sync
+	}
+	if wm == 0 && header != nil {
+		if err := header(o); err != nil {
+			return nil, fmt.Errorf("checkpoint: writing header: %w", err)
+		}
+	}
+	return o, nil
+}
+
+// Write buffers p; it reaches the destination at the next Commit or
+// Flush.
+func (o *Output) Write(p []byte) (int, error) {
+	n, err := o.bw.Write(p)
+	o.n += int64(n)
+	return n, err
+}
+
+// AvailableBuffer lends the free space of the output buffer, as
+// bufio.Writer does, so a row can be encoded in place before Write.
+func (o *Output) AvailableBuffer() []byte { return o.bw.AvailableBuffer() }
+
+// Commit flushes and syncs the rows written so far, then journals the
+// completed chromosome with the output size. scannedBases counts this
+// run's bases; the journal adds the bases of earlier runs. It has the
+// signature of the streaming search's chromosome-done hook.
+func (o *Output) Commit(chrom string, sites int, scannedBases int64) error {
+	if err := o.Flush(); err != nil {
+		return err
+	}
+	return o.j.Commit(Entry{Chrom: chrom, Sites: sites, ScannedBases: o.bases + scannedBases, OutBytes: o.n})
+}
+
+// Flush writes the buffered rows out and syncs the destination.
+func (o *Output) Flush() error {
+	if err := o.bw.Flush(); err != nil {
+		return fmt.Errorf("checkpoint: flushing output: %w", err)
+	}
+	if o.sync != nil {
+		if err := o.sync(); err != nil {
+			return fmt.Errorf("checkpoint: syncing output: %w", err)
+		}
+	}
+	return nil
 }
 
 // atomicWrite replaces path with data via a same-directory temp file,

@@ -45,14 +45,6 @@ func TestCommitRoundTrip(t *testing.T) {
 	if !j2.Done("chr1") || !j2.Done("chr2") || j2.Done("chr3") {
 		t.Fatal("Done map does not match committed entries")
 	}
-
-	chroms, sites, err := Probe(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chroms != 2 || sites != 10 {
-		t.Fatalf("Probe = %d chroms / %d sites, want 2 / 10", chroms, sites)
-	}
 }
 
 func TestDoubleCommitRejected(t *testing.T) {
@@ -94,16 +86,6 @@ func TestCorruptJournalRejected(t *testing.T) {
 	}
 	if _, err := Open(path, Fingerprint("a")); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt journal must be rejected, got %v", err)
-	}
-	if _, _, err := Probe(path); err == nil {
-		t.Fatal("Probe must reject a corrupt journal")
-	}
-}
-
-func TestProbeMissingFile(t *testing.T) {
-	chroms, sites, err := Probe(filepath.Join(t.TempDir(), "absent.ckpt"))
-	if err != nil || chroms != 0 || sites != 0 {
-		t.Fatalf("Probe on missing file = %d/%d/%v, want 0/0/nil", chroms, sites, err)
 	}
 }
 

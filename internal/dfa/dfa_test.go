@@ -198,44 +198,6 @@ func TestMinimizeProperty(t *testing.T) {
 	}
 }
 
-func TestCompressAlphabet(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	n := guideNFA(t, rng, 7, 2, 3)
-	s2, err := automata.Multistride2(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strided automata cannot be determinized (mid reports); use the
-	// stride-1 DFA to exercise compression instead, plus a hand case.
-	_ = s2
-	d, err := FromNFA(n, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd, remap := CompressAlphabet(d)
-	if cd.Alphabet > d.Alphabet {
-		t.Fatal("compression grew the alphabet")
-	}
-	if len(remap) != d.Alphabet {
-		t.Fatalf("remap length %d", len(remap))
-	}
-	in := randInput(rng, 3000, 0.01)
-	var got []automata.Report
-	if err := cd.ScanMapped(in, remap, func(r automata.Report) { got = append(got, r) }); err != nil {
-		t.Fatal(err)
-	}
-	if !sameReports(got, d.ScanCollect(in)) {
-		t.Fatal("compressed DFA disagrees")
-	}
-}
-
-func TestScanMappedEmptyRemap(t *testing.T) {
-	d := &DFA{Alphabet: 1, Trans: []int32{0}, Reports: [][]int32{nil}}
-	if err := d.ScanMapped([]uint8{0}, nil, func(automata.Report) {}); err == nil {
-		t.Error("empty remap must error")
-	}
-}
-
 func TestDFASizesReasonable(t *testing.T) {
 	// The E1 table reports DFA sizes; sanity-check growth with k.
 	rng := rand.New(rand.NewSource(58))

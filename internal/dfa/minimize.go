@@ -1,11 +1,6 @@
 package dfa
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/cap-repro/crisprscan/internal/automata"
-)
+import "sort"
 
 // Minimize returns the minimal DFA with the same report behavior, using
 // Hopcroft's partition-refinement algorithm. States are first grouped by
@@ -182,68 +177,4 @@ func reportSig(codes []int32) string {
 		buf = append(buf, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 	}
 	return string(buf)
-}
-
-// CompressAlphabet merges input symbols with identical transition
-// columns, returning the compressed DFA and the symbol remap table (old
-// symbol -> new symbol). Useful for strided automata, whose 25-symbol
-// pair alphabet usually collapses substantially; HyperScan applies the
-// same trick (its "shengs" run over compressed alphabets).
-func CompressAlphabet(d *DFA) (*DFA, []uint8) {
-	n := d.NumStates()
-	colKey := func(sym int) string {
-		buf := make([]byte, 0, 4*n)
-		for s := 0; s < n; s++ {
-			t := d.Trans[s*d.Alphabet+sym]
-			buf = append(buf, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
-		}
-		return string(buf)
-	}
-	remap := make([]uint8, d.Alphabet)
-	index := map[string]uint8{}
-	var reprs []int
-	for sym := 0; sym < d.Alphabet; sym++ {
-		k := colKey(sym)
-		id, ok := index[k]
-		if !ok {
-			id = uint8(len(reprs))
-			index[k] = id
-			reprs = append(reprs, sym)
-		}
-		remap[sym] = id
-	}
-	out := &DFA{
-		Alphabet: len(reprs),
-		Trans:    make([]int32, n*len(reprs)),
-		Reports:  d.Reports,
-		Start:    d.Start,
-		Empty:    d.Empty,
-	}
-	for s := 0; s < n; s++ {
-		for newSym, oldSym := range reprs {
-			out.Trans[s*len(reprs)+newSym] = d.Trans[s*d.Alphabet+oldSym]
-		}
-	}
-	return out, remap
-}
-
-// ScanMapped scans input through a compressed-alphabet DFA, translating
-// symbols through remap first.
-func (d *DFA) ScanMapped(input []uint8, remap []uint8, emit func(automata.Report)) error {
-	if len(remap) == 0 {
-		return fmt.Errorf("dfa: empty symbol remap")
-	}
-	cur := d.Start
-	alpha := int32(d.Alphabet)
-	for t, sym := range input {
-		if int(sym) >= len(remap) {
-			cur = d.Empty
-			continue
-		}
-		cur = d.Trans[cur*alpha+int32(remap[sym])]
-		for _, code := range d.Reports[cur] {
-			emit(automata.Report{Code: code, End: t})
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package dna
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Packed is a 2-bit-per-base packed sequence plus an ambiguity bitmap.
 // It is the memory layout Cas-OFFinder-style brute force scans use: a
@@ -45,11 +42,6 @@ func (p *Packed) Base(i int) Base {
 	return Base(p.words[i/32] >> uint(2*(i%32)) & 3)
 }
 
-// Ambiguous reports whether position i held a non-ACGT character.
-func (p *Packed) Ambiguous(i int) bool {
-	return p.amb[i/64]&(1<<uint(i%64)) != 0
-}
-
 // Window extracts up to 32 bases starting at position pos into a single
 // word (base j of the window in bits 2j), plus a 32-bit ambiguity mask.
 // Callers must ensure pos+width <= Len() and width <= 32.
@@ -69,44 +61,6 @@ func (p *Packed) Window(pos, width int) (codes uint64, amb uint32) {
 	}
 	amb = uint32(a & ((1 << uint(width)) - 1))
 	return codes, amb
-}
-
-// diffLanes spreads the "these 2-bit lanes differ" property of x into one
-// bit per lane (bit 2j of the result set iff lanes j differ in x).
-func diffLanes(x uint64) uint64 {
-	const lo = 0x5555555555555555
-	return (x | x>>1) & lo
-}
-
-// MismatchCount compares width bases of the packed genome at pos against
-// a packed pattern word (pattern base j at bits 2j; pattern must contain
-// only concrete bases) and returns the Hamming distance. Ambiguous genome
-// positions always count as mismatches. width must be <= 32.
-func (p *Packed) MismatchCount(pos, width int, pattern uint64) int {
-	codes, amb := p.Window(pos, width)
-	d := diffLanes(codes ^ pattern)
-	// Fold ambiguity in: an ambiguous lane mismatches regardless of codes.
-	var ambLanes uint64
-	for a := amb; a != 0; a &= a - 1 {
-		ambLanes |= 1 << uint(2*bits.TrailingZeros32(a))
-	}
-	return bits.OnesCount64(d | ambLanes)
-}
-
-// PackPatternWord packs up to 32 concrete bases into a comparison word for
-// MismatchCount. Panics if s contains BadBase or is longer than 32.
-func PackPatternWord(s Seq) uint64 {
-	if len(s) > 32 {
-		panic("dna: pattern longer than 32 bases")
-	}
-	var w uint64
-	for i, b := range s {
-		if b == BadBase {
-			panic("dna: pattern contains ambiguous base")
-		}
-		w |= uint64(b) << uint(2*i)
-	}
-	return w
 }
 
 // Words exposes the raw storage planes (code words, ambiguity bitmap)
@@ -134,22 +88,6 @@ func (p *Packed) Unpack() Seq {
 	out := make(Seq, p.n)
 	unpackInto(out, p.words, p.amb)
 	return out
-}
-
-// Kmer encodes the width bases starting at pos as a 2-bit integer key
-// (base 0 in the most significant lanes so lexicographic order is numeric
-// order). ok is false if any position in the window is ambiguous.
-// width must be <= 31.
-func (p *Packed) Kmer(pos, width int) (key uint64, ok bool) {
-	codes, amb := p.Window(pos, width)
-	if amb != 0 {
-		return 0, false
-	}
-	var k uint64
-	for j := 0; j < width; j++ {
-		k = k<<2 | (codes >> uint(2*j) & 3)
-	}
-	return k, true
 }
 
 // KmerOf encodes a concrete Seq as a 2-bit key using the same orientation

@@ -3,7 +3,6 @@ package dna
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randomSeq(rng *rand.Rand, n int, ambRate float64) Seq {
@@ -29,9 +28,6 @@ func TestPackRoundTrip(t *testing.T) {
 		for i := range s {
 			if p.Base(i) != s[i] {
 				t.Fatalf("trial %d: Base(%d) = %v, want %v", trial, i, p.Base(i), s[i])
-			}
-			if p.Ambiguous(i) != (s[i] == BadBase) {
-				t.Fatalf("trial %d: Ambiguous(%d) wrong", trial, i)
 			}
 		}
 	}
@@ -62,83 +58,16 @@ func TestWindowAcrossWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestMismatchCountMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	genome := randomSeq(rng, 500, 0.02)
-	packed := Pack(genome)
-	for trial := 0; trial < 200; trial++ {
-		width := 1 + rng.Intn(32)
-		pos := rng.Intn(len(genome) - width)
-		pat := randomSeq(rng, width, 0)
-		want := 0
-		for j := 0; j < width; j++ {
-			if genome[pos+j] != pat[j] {
-				want++
-			}
-		}
-		got := packed.MismatchCount(pos, width, PackPatternWord(pat))
-		if got != want {
-			t.Fatalf("trial %d (pos=%d width=%d): got %d, want %d", trial, pos, width, got, want)
-		}
-	}
-}
-
-func TestPackPatternWordPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for ambiguous pattern")
-		}
-	}()
-	seq, _ := ParseSeq("ACN")
-	PackPatternWord(seq)
-}
-
 func TestKmer(t *testing.T) {
-	s := MustParseSeq("ACGT")
-	p := Pack(s)
-	key, ok := p.Kmer(0, 4)
-	if !ok {
-		t.Fatal("kmer over concrete bases must be ok")
-	}
 	// A=0,C=1,G=2,T=3 -> 0b00011011 = 27
-	if key != 27 {
-		t.Errorf("kmer = %d, want 27", key)
-	}
-	want, ok2 := KmerOf(s)
-	if !ok2 || want != key {
-		t.Errorf("KmerOf = %d (%v), want %d", want, ok2, key)
+	if key, ok := KmerOf(MustParseSeq("ACGT")); !ok || key != 27 {
+		t.Errorf("KmerOf = %d (%v), want 27", key, ok)
 	}
 }
 
 func TestKmerAmbiguity(t *testing.T) {
 	seq, _ := ParseSeq("ACNGT")
-	p := Pack(seq)
-	if _, ok := p.Kmer(1, 3); ok {
-		t.Error("kmer spanning an N must report !ok")
-	}
-	if _, ok := p.Kmer(2, 3); ok {
-		t.Error("kmer starting at an N must report !ok")
-	}
-	if _, ok := p.Kmer(0, 2); !ok {
-		t.Error("kmer avoiding the N must be ok")
-	}
 	if _, ok := KmerOf(seq); ok {
 		t.Error("KmerOf with BadBase must report !ok")
-	}
-}
-
-func TestKmerConsistencyProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	genome := randomSeq(rng, 400, 0)
-	packed := Pack(genome)
-	f := func(rawPos uint16, rawW uint8) bool {
-		width := 1 + int(rawW)%20
-		pos := int(rawPos) % (len(genome) - width)
-		k1, ok1 := packed.Kmer(pos, width)
-		k2, ok2 := KmerOf(genome[pos : pos+width])
-		return ok1 && ok2 && k1 == k2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
 	}
 }

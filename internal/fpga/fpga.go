@@ -161,9 +161,6 @@ func (m *Model) Resources() arch.ResourceUsage { return m.res }
 // Streams reports the achieved replication factor.
 func (m *Model) Streams() int { return m.streams }
 
-// NFA exposes the mapped network.
-func (m *Model) NFA() *automata.NFA { return m.nfa }
-
 // LUTsUsed reports the fabric demand of one design copy.
 func (m *Model) LUTsUsed() int {
 	return int(float64(m.res.States) * m.opt.Device.LUTsPerState)

@@ -42,7 +42,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 		// The mapped network is what the resource numbers describe; the
 		// simulator steps it two symbols at a time when stride-2.
 		var a, b []automata.Report
-		sim := automata.NewSim(m.NFA())
+		sim := automata.NewSim(m.nfa)
 		in := automata.SymbolsOfSeq(c.Seq)
 		if opt.Stride2 {
 			automata.ScanStride2(sim, in, func(r automata.Report) { a = append(a, r) })

@@ -264,7 +264,7 @@ func TestRepeatsIncreaseSelfSimilarity(t *testing.T) {
 		dups := 0
 		c := g.Chroms[0]
 		for p := 0; p+20 <= len(c.Seq); p += 20 {
-			k, ok := c.Packed.Kmer(p, 20)
+			k, ok := dna.KmerOf(c.Seq[p : p+20])
 			if !ok {
 				continue
 			}

@@ -378,11 +378,3 @@ func (e *Engine) scanParallel(ctx context.Context, chrom string, seq dna.Seq, em
 	}
 	return nil
 }
-
-// NFAStats exposes the merged network's statistics (ModeNFA only).
-func (e *Engine) NFAStats() (automata.Stats, bool) {
-	if e.nfa == nil {
-		return automata.Stats{}, false
-	}
-	return e.nfa.ComputeStats(), true
-}

@@ -142,13 +142,6 @@ func (m *Model) measureFrontier() {
 // Name implements arch.Modeled.
 func (m *Model) Name() string { return "infant2" }
 
-// AvgFrontier reports the measured mean active-state count (E-series
-// tables use it to explain the GPU's poor fit).
-func (m *Model) AvgFrontier() float64 { return m.avgActive }
-
-// NFA exposes the compiled automaton.
-func (m *Model) NFA() *automata.NFA { return m.nfa }
-
 // Resources implements arch.Modeled; the transition table is memory,
 // not fabric, so spatial usage is empty.
 func (m *Model) Resources() arch.ResourceUsage { return arch.ResourceUsage{} }

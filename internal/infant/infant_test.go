@@ -40,7 +40,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 	hs, _ := hscan.New(specs, hscan.ModeBitap)
 	// The compiled automaton is what the frontier measurement describes.
 	var a, b []automata.Report
-	automata.NewSim(m.NFA()).Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) { a = append(a, r) })
+	automata.NewSim(m.nfa).Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) { a = append(a, r) })
 	if err := hs.ScanChrom(c, func(r automata.Report) { b = append(b, r) }); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFrontierGrowsWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := m.AvgFrontier()
+		f := m.avgActive
 		if f <= prev {
 			t.Errorf("k=%d: frontier %.1f not larger than previous %.1f", k, f, prev)
 		}
@@ -112,8 +112,8 @@ func TestMergeShrinksFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.AvgFrontier() >= plain.AvgFrontier() {
-		t.Errorf("merging should shrink the frontier: %.1f -> %.1f", plain.AvgFrontier(), merged.AvgFrontier())
+	if merged.avgActive >= plain.avgActive {
+		t.Errorf("merging should shrink the frontier: %.1f -> %.1f", plain.avgActive, merged.avgActive)
 	}
 }
 
@@ -135,8 +135,5 @@ func TestModeledInterface(t *testing.T) {
 	}
 	if m.Resources() != (arch.ResourceUsage{}) {
 		t.Error("GPU resources must be empty")
-	}
-	if m.NFA() == nil {
-		t.Error("NFA accessor nil")
 	}
 }

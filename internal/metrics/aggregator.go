@@ -9,46 +9,23 @@ import "sync"
 // serving loop observes each completed scan's final snapshot; an
 // in-flight scan's live recorder is merged per scrape via MergedWith.
 //
-// All methods are safe for concurrent use and no-ops on a nil
-// receiver.
+// The zero value is an empty aggregator. All methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type Aggregator struct {
 	mu sync.Mutex
-	// scans counts completed scans observed. guarded by mu
-	scans int64 // guarded by mu
 	// acc is the running merged snapshot. guarded by mu
 	acc Snapshot // guarded by mu
 }
 
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator { return &Aggregator{} }
-
 // Observe folds one completed scan's snapshot into the lifetime
-// totals. A nil snapshot counts the scan without adding metrics.
+// totals. A nil snapshot adds nothing.
 func (a *Aggregator) Observe(s *Snapshot) {
-	if a == nil {
+	if a == nil || s == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.scans++
-	if s != nil {
-		a.acc = mergeSnapshots(a.acc, *s)
-	}
-}
-
-// Scans returns the number of completed scans observed.
-func (a *Aggregator) Scans() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.scans
-}
-
-// Snapshot returns the merged lifetime snapshot.
-func (a *Aggregator) Snapshot() *Snapshot {
-	return a.MergedWith()
+	a.acc = mergeSnapshots(a.acc, *s)
 }
 
 // MergedWith returns the lifetime snapshot with any number of live

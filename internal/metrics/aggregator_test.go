@@ -22,22 +22,16 @@ func scanSnapshot(chunks int, latNs int64) *Snapshot {
 func TestAggregatorNilIsSafe(t *testing.T) {
 	var a *Aggregator
 	a.Observe(scanSnapshot(1, 10))
-	if a.Scans() != 0 {
-		t.Error("nil aggregator counted a scan")
-	}
-	if s := a.Snapshot(); s != nil {
+	if s := a.MergedWith(); s != nil {
 		t.Errorf("nil aggregator snapshot = %+v", s)
 	}
 }
 
 func TestAggregatorMergesScans(t *testing.T) {
-	a := NewAggregator()
+	var a Aggregator
 	a.Observe(scanSnapshot(4, 1000))
 	a.Observe(scanSnapshot(6, 1_000_000))
-	if a.Scans() != 2 {
-		t.Fatalf("scans = %d, want 2", a.Scans())
-	}
-	s := a.Snapshot()
+	s := a.MergedWith()
 	if s.Counters.BytesScanned != 2000 || s.Counters.SitesEmitted != 6 {
 		t.Errorf("counters = %+v", s.Counters)
 	}
@@ -64,7 +58,7 @@ func TestAggregatorMergesScans(t *testing.T) {
 }
 
 func TestAggregatorMergedWithLive(t *testing.T) {
-	a := NewAggregator()
+	var a Aggregator
 	a.Observe(scanSnapshot(2, 1000))
 	live := scanSnapshot(3, 1000)
 	s := a.MergedWith(live, nil)
@@ -77,13 +71,13 @@ func TestAggregatorMergedWithLive(t *testing.T) {
 	// The merged view must not leak aggregator state: mutating it may
 	// not change a later snapshot.
 	s.ModeledSec["kernel"] = 99
-	if got := a.Snapshot().ModeledSec["kernel"]; got != 0.5 {
+	if got := a.MergedWith().ModeledSec["kernel"]; got != 0.5 {
 		t.Errorf("aggregator state mutated through merged view: %v", got)
 	}
 }
 
 func TestAggregatorConcurrentObserve(t *testing.T) {
-	a := NewAggregator()
+	var a Aggregator
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -96,10 +90,7 @@ func TestAggregatorConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if a.Scans() != 400 {
-		t.Errorf("scans = %d, want 400", a.Scans())
-	}
-	if got := a.Snapshot().Counters.BytesScanned; got != 400*1000 {
+	if got := a.MergedWith().Counters.BytesScanned; got != 400*1000 {
 		t.Errorf("bytes = %d, want 400000", got)
 	}
 }

@@ -70,9 +70,8 @@ func (f *FlightRecorder) Track(key string, tr *SpanTracer) {
 }
 
 // Seal marks key's trace terminal. failed records whether the job
-// failed or retried (eviction spares those longest); retain false
-// drops the entry immediately (the errors-only sampling mode).
-func (f *FlightRecorder) Seal(key string, failed, retain bool) {
+// failed or retried (eviction spares those longest).
+func (f *FlightRecorder) Seal(key string, failed bool) {
 	if f == nil {
 		return
 	}
@@ -83,9 +82,6 @@ func (f *FlightRecorder) Seal(key string, failed, retain bool) {
 		return
 	}
 	e.sealed, e.failed = true, failed
-	if !retain {
-		f.removeLocked(key)
-	}
 }
 
 // Get returns the trace tracked for key, live or sealed.

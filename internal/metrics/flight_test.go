@@ -13,7 +13,7 @@ func TestFlightRecorderTrackSealGet(t *testing.T) {
 	if got, ok := f.Get("j1"); !ok || got != tr {
 		t.Fatal("live entry not retrievable")
 	}
-	f.Seal("j1", false, true)
+	f.Seal("j1", false)
 	if got, ok := f.Get("j1"); !ok || got != tr {
 		t.Fatal("sealed retained entry not retrievable")
 	}
@@ -25,35 +25,20 @@ func TestFlightRecorderTrackSealGet(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderDropsUnretained(t *testing.T) {
-	f := NewFlightRecorder(4)
-	evicted := []string{}
-	f.OnEvict(func(key string) { evicted = append(evicted, key) })
-	f.Track("j1", newFlightTracer())
-	// The errors-only mode seals healthy jobs with retain=false.
-	f.Seal("j1", false, false)
-	if _, ok := f.Get("j1"); ok {
-		t.Fatal("unretained entry survived its seal")
-	}
-	if len(evicted) != 1 || evicted[0] != "j1" {
-		t.Fatalf("evict hook saw %v, want [j1]", evicted)
-	}
-}
-
 func TestFlightRecorderPrefersEvictingHealthyHistory(t *testing.T) {
 	f := NewFlightRecorder(3)
 	var evicted []string
 	f.OnEvict(func(key string) { evicted = append(evicted, key) })
 	f.Track("ok1", newFlightTracer())
-	f.Seal("ok1", false, true)
+	f.Seal("ok1", false)
 	f.Track("bad1", newFlightTracer())
-	f.Seal("bad1", true, true)
+	f.Seal("bad1", true)
 	f.Track("ok2", newFlightTracer())
-	f.Seal("ok2", false, true)
+	f.Seal("ok2", false)
 	// Over capacity: the oldest sealed healthy trace goes first, not the
 	// older failed one.
 	f.Track("ok3", newFlightTracer())
-	f.Seal("ok3", false, true)
+	f.Seal("ok3", false)
 	if len(evicted) != 1 || evicted[0] != "ok1" {
 		t.Fatalf("evicted %v, want [ok1] (oldest healthy)", evicted)
 	}
@@ -62,9 +47,9 @@ func TestFlightRecorderPrefersEvictingHealthyHistory(t *testing.T) {
 	}
 	// With only failed sealed entries left, the oldest failed one goes.
 	f.Track("bad2", newFlightTracer())
-	f.Seal("bad2", true, true)
+	f.Seal("bad2", true)
 	f.Track("bad3", newFlightTracer())
-	f.Seal("bad3", true, true)
+	f.Seal("bad3", true)
 	f.Track("bad4", newFlightTracer())
 	if _, ok := f.Get("bad1"); ok {
 		t.Fatal("oldest failed trace survived once healthy history ran out")
@@ -81,7 +66,7 @@ func TestFlightRecorderNeverEvictsLiveEntries(t *testing.T) {
 	if f.Len() != 3 {
 		t.Fatalf("len = %d, want 3 (live entries are never evicted)", f.Len())
 	}
-	f.Seal("live1", false, true)
+	f.Seal("live1", false)
 	f.Track("live4", newFlightTracer())
 	if _, ok := f.Get("live1"); ok {
 		t.Fatal("sealed entry not evicted once a victim existed")
@@ -97,7 +82,7 @@ func TestFlightRecorderResumeReregisters(t *testing.T) {
 	f := NewFlightRecorder(4)
 	first := newFlightTracer()
 	f.Track("j1", first)
-	f.Seal("j1", true, true)
+	f.Seal("j1", true)
 	// A resumed job re-tracks under the same ID with a fresh tracer; the
 	// entry must be live (unsealed) again.
 	second := newFlightTracer()
@@ -119,7 +104,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	var f *FlightRecorder
 	f.OnEvict(func(string) {})
 	f.Track("j", newFlightTracer())
-	f.Seal("j", false, true)
+	f.Seal("j", false)
 	if _, ok := f.Get("j"); ok || f.Len() != 0 {
 		t.Fatal("nil recorder not a no-op")
 	}

@@ -16,21 +16,6 @@ type Histogram struct {
 	sumNs   atomic.Int64
 	maxNs   atomic.Int64
 	buckets [64]atomic.Int64
-
-	// exemplars holds, per bucket, the most recent traced observation —
-	// the link from a slow bucket to a concrete trace ID. Only
-	// ObserveTraced populates them; the untraced Observe path never
-	// touches the array.
-	exemplars [64]atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one histogram bucket to a concrete trace: the last
-// traced observation that landed in the bucket.
-type Exemplar struct {
-	// TraceID is the 32-hex-char trace identity of the observation.
-	TraceID string `json:"trace_id"`
-	// ValueNs is the observed latency in nanoseconds.
-	ValueNs int64 `json:"value_ns"`
 }
 
 // Observe records one latency of ns nanoseconds (negative values are
@@ -48,20 +33,6 @@ func (h *Histogram) Observe(ns int64) {
 		}
 	}
 	h.buckets[bits.Len64(uint64(ns))].Add(1)
-}
-
-// ObserveTraced is Observe plus an exemplar: the bucket remembers this
-// observation's trace ID, so a latency outlier in /metrics or a
-// snapshot links straight to its /debug/trace entry.
-func (h *Histogram) ObserveTraced(ns int64, traceID string) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.Observe(ns)
-	if traceID == "" {
-		return
-	}
-	h.exemplars[bits.Len64(uint64(ns))].Store(&Exemplar{TraceID: traceID, ValueNs: ns})
 }
 
 // Snapshot renders the sketch into an immutable summary, including the
@@ -85,12 +56,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P99Sec = quantile(counts[:], total, 0.99)
 	for i, c := range counts {
 		if c != 0 {
-			b := HistogramBucket{UpperNs: bucketUpperNs(i), Count: c}
-			if ex := h.exemplars[i].Load(); ex != nil {
-				cp := *ex
-				b.Exemplar = &cp
-			}
-			s.Buckets = append(s.Buckets, b)
+			s.Buckets = append(s.Buckets, HistogramBucket{UpperNs: bucketUpperNs(i), Count: c})
 		}
 	}
 	return s
@@ -157,9 +123,6 @@ type HistogramBucket struct {
 	UpperNs int64 `json:"upper_ns"`
 	// Count is the number of observations in the bucket.
 	Count int64 `json:"count"`
-	// Exemplar, when present, links the bucket to the trace of a recent
-	// observation that landed in it.
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
 // Merge folds another snapshot into s: counts and bucket populations
@@ -174,9 +137,8 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 		return o
 	}
 	var counts [64]int64
-	var exes [64]*Exemplar
-	addBuckets(&counts, &exes, s.Buckets)
-	addBuckets(&counts, &exes, o.Buckets)
+	addBuckets(&counts, s.Buckets)
+	addBuckets(&counts, o.Buckets)
 	m := HistogramSnapshot{Count: s.Count + o.Count, MaxSec: math.Max(s.MaxSec, o.MaxSec)}
 	m.MeanSec = (s.MeanSec*float64(s.Count) + o.MeanSec*float64(o.Count)) / float64(m.Count)
 	m.P50Sec = quantile(counts[:], m.Count, 0.50)
@@ -184,22 +146,17 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	m.P99Sec = quantile(counts[:], m.Count, 0.99)
 	for i, c := range counts {
 		if c != 0 {
-			m.Buckets = append(m.Buckets, HistogramBucket{UpperNs: bucketUpperNs(i), Count: c, Exemplar: exes[i]})
+			m.Buckets = append(m.Buckets, HistogramBucket{UpperNs: bucketUpperNs(i), Count: c})
 		}
 	}
 	return m
 }
 
 // addBuckets scatters snapshot buckets back onto the 64-slot log2
-// grid, keeping per bucket the exemplar with the largest observed
-// value (the most interesting trace to chase).
-func addBuckets(counts *[64]int64, exes *[64]*Exemplar, bs []HistogramBucket) {
+// grid.
+func addBuckets(counts *[64]int64, bs []HistogramBucket) {
 	for _, b := range bs {
-		i := bucketIndex(b.UpperNs)
-		counts[i] += b.Count
-		if b.Exemplar != nil && (exes[i] == nil || b.Exemplar.ValueNs >= exes[i].ValueNs) {
-			exes[i] = b.Exemplar
-		}
+		counts[bucketIndex(b.UpperNs)] += b.Count
 	}
 }
 

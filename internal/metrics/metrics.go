@@ -150,11 +150,6 @@ type Recorder struct {
 	// recorded only while non-nil.
 	tracer *SpanTracer
 
-	// traceID is set once before scanning via SetTraceID; while
-	// non-empty, chunk latencies carry it as a histogram exemplar so a
-	// slow bucket links to the concrete trace that produced it.
-	traceID string
-
 	// progress is set once before scanning via SetProgress; chunk
 	// completions advance it only while non-nil.
 	progress *Progress
@@ -184,24 +179,6 @@ func (r *Recorder) Tracer() *SpanTracer {
 		return nil
 	}
 	return r.tracer
-}
-
-// SetTraceID attaches the request's trace identity (32 hex chars) for
-// exemplar annotation on the chunk-latency histogram. Call before
-// scanning starts; an empty id detaches exemplars.
-func (r *Recorder) SetTraceID(id string) {
-	if r == nil {
-		return
-	}
-	r.traceID = id
-}
-
-// TraceID returns the attached trace identity ("" when detached).
-func (r *Recorder) TraceID() string {
-	if r == nil {
-		return ""
-	}
-	return r.traceID
 }
 
 // SetProgress installs p as the live progress sink: every chunk the
@@ -311,11 +288,7 @@ func (r *Recorder) StartChunk(label string, bytes int64) func() {
 	_, endTrace := r.tracer.StartChild(label)
 	start := Now()
 	return func() {
-		if lat := Now() - start; r.traceID != "" {
-			r.chunkLat.ObserveTraced(lat, r.traceID)
-		} else {
-			r.chunkLat.Observe(lat)
-		}
+		r.chunkLat.Observe(Now() - start)
 		r.progress.AddBytes(bytes)
 		endTrace()
 	}
@@ -403,11 +376,6 @@ type PhaseSeconds struct {
 	// Report is output-assembly time (sort, dedup, site strings,
 	// yield delivery).
 	Report float64 `json:"report"`
-}
-
-// Total sums every phase.
-func (p PhaseSeconds) Total() float64 {
-	return p.Load + p.Compile + p.Prefilter + p.Verify + p.Report
 }
 
 // CounterTotals is the counter block of a Snapshot; see the Counter

@@ -3,12 +3,10 @@ package metrics
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -150,61 +148,6 @@ func FormatTraceparent(tid TraceID, sid SpanID, sampled bool) string {
 		flags = "01"
 	}
 	return "00-" + tid.String() + "-" + sid.String() + "-" + flags
-}
-
-// Sampling modes for TraceSampler.Mode.
-const (
-	// SampleAlways records and retains every job's trace.
-	SampleAlways = "always"
-	// SampleRatio records a deterministic per-tenant fraction of traces
-	// (the decision depends only on the trace ID, so every hop in a
-	// distributed call samples the same traces).
-	SampleRatio = "ratio"
-	// SampleErrors records every job but retains only failed or retried
-	// ones in the flight recorder.
-	SampleErrors = "errors"
-)
-
-// TraceSampler is the sampling policy: Record decides at admission
-// whether a job's spans are recorded at all; Retain decides at the
-// terminal state whether the flight recorder keeps the trace.
-type TraceSampler struct {
-	// Mode is one of SampleAlways (the default, also for ""),
-	// SampleRatio, or SampleErrors.
-	Mode string
-	// Ratio is the default sampling probability in ratio mode.
-	Ratio float64
-	// TenantRatio overrides Ratio for specific tenants in ratio mode.
-	TenantRatio map[string]float64
-}
-
-// Record reports whether a job for tenant with trace identity id
-// should record spans.
-func (s TraceSampler) Record(tenant string, id TraceID) bool {
-	if s.Mode != SampleRatio {
-		return true
-	}
-	r := s.Ratio
-	if tr, ok := s.TenantRatio[tenant]; ok {
-		r = tr
-	}
-	if r >= 1 {
-		return true
-	}
-	if r <= 0 {
-		return false
-	}
-	v := binary.BigEndian.Uint64(id[8:])
-	return float64(v) < r*float64(math.MaxUint64)
-}
-
-// Retain reports whether a recorded trace should stay in the flight
-// recorder once its job reached a terminal state.
-func (s TraceSampler) Retain(failed bool) bool {
-	if s.Mode == SampleErrors {
-		return failed
-	}
-	return true
 }
 
 // defaultMaxSpans bounds one trace's span count; chunk spans dominate,

@@ -201,53 +201,6 @@ func TestOpenSpansRenderAsOpen(t *testing.T) {
 	}
 }
 
-func TestTraceSamplerModes(t *testing.T) {
-	id := NewTraceID()
-	always := TraceSampler{}
-	if !always.Record("a", id) || !always.Retain(false) || !always.Retain(true) {
-		t.Fatal("default (always) sampler must record and retain everything")
-	}
-	errs := TraceSampler{Mode: SampleErrors}
-	if !errs.Record("a", id) {
-		t.Fatal("errors mode must record every job (retention filters later)")
-	}
-	if errs.Retain(false) || !errs.Retain(true) {
-		t.Fatal("errors mode must retain failed jobs only")
-	}
-	zero := TraceSampler{Mode: SampleRatio, Ratio: 0}
-	one := TraceSampler{Mode: SampleRatio, Ratio: 1}
-	for i := 0; i < 32; i++ {
-		rid := NewTraceID()
-		if zero.Record("a", rid) {
-			t.Fatal("ratio 0 recorded a trace")
-		}
-		if !one.Record("a", rid) {
-			t.Fatal("ratio 1 skipped a trace")
-		}
-	}
-	// The ratio decision is a pure function of the trace ID, so every
-	// service hop samples the same subset.
-	half := TraceSampler{Mode: SampleRatio, Ratio: 0.5}
-	picked := 0
-	for i := 0; i < 256; i++ {
-		rid := NewTraceID()
-		first := half.Record("a", rid)
-		if half.Record("b", rid) != first {
-			t.Fatal("ratio decision depends on something other than the trace ID")
-		}
-		if first {
-			picked++
-		}
-	}
-	if picked == 0 || picked == 256 {
-		t.Fatalf("ratio 0.5 picked %d/256 traces; decision looks degenerate", picked)
-	}
-	tenant := TraceSampler{Mode: SampleRatio, Ratio: 0, TenantRatio: map[string]float64{"vip": 1}}
-	if tenant.Record("other", id) || !tenant.Record("vip", id) {
-		t.Fatal("per-tenant ratio override not applied")
-	}
-}
-
 func TestWriteChromeIsValidTraceEventJSON(t *testing.T) {
 	tr := NewSpanTracer(NewTraceID(), "job", SpanID{})
 	_, end := tr.Root().StartChild("attempt 1")
@@ -357,69 +310,5 @@ func TestConcurrentSpans(t *testing.T) {
 	tree := tr.Tree()
 	if got := len(tree.Root.Children); got != 400 {
 		t.Fatalf("tree has %d chunk spans, want 400", got)
-	}
-}
-
-func TestHistogramExemplars(t *testing.T) {
-	var h Histogram
-	h.Observe(1000) // untraced: no exemplar
-	h.ObserveTraced(1000, "aaaa")
-	h.ObserveTraced(1010, "bbbb") // same log2 bucket as aaaa: most recent wins
-	h.ObserveTraced(1<<20, "cccc")
-	snap := h.Snapshot()
-	byTrace := map[string]int64{}
-	for _, b := range snap.Buckets {
-		if b.Exemplar != nil {
-			byTrace[b.Exemplar.TraceID] = b.Exemplar.ValueNs
-		}
-	}
-	if len(byTrace) != 2 {
-		t.Fatalf("exemplars %v, want exactly the bbbb and cccc buckets", byTrace)
-	}
-	if byTrace["bbbb"] != 1010 || byTrace["cccc"] != 1<<20 {
-		t.Fatalf("exemplars %v: wrong survivors", byTrace)
-	}
-
-	// Merge keeps the larger-valued exemplar per bucket.
-	var h2 Histogram
-	h2.ObserveTraced(600, "dddd") // same bucket as bbbb, smaller value
-	merged := snap.Merge(h2.Snapshot())
-	found := false
-	for _, b := range merged.Buckets {
-		if b.Exemplar != nil && b.Exemplar.TraceID == "bbbb" {
-			found = true
-		}
-		if b.Exemplar != nil && b.Exemplar.TraceID == "dddd" {
-			t.Fatal("merge preferred the smaller exemplar")
-		}
-	}
-	if !found {
-		t.Fatal("merge lost the surviving exemplar")
-	}
-}
-
-func TestRecorderChunkExemplars(t *testing.T) {
-	var rec Recorder
-	rec.SetTraceID("feedface")
-	end := rec.StartChunk("chr1", 1024)
-	end()
-	snap := rec.Snapshot()
-	var got *Exemplar
-	for _, b := range snap.ChunkLatency.Buckets {
-		if b.Exemplar != nil {
-			got = b.Exemplar
-		}
-	}
-	if got == nil || got.TraceID != "feedface" {
-		t.Fatalf("chunk-latency exemplar %+v, want trace feedface attached", got)
-	}
-
-	// Without a trace ID the untraced path must leave no exemplars.
-	var plain Recorder
-	plain.StartChunk("chr1", 1024)()
-	for _, b := range plain.Snapshot().ChunkLatency.Buckets {
-		if b.Exemplar != nil {
-			t.Fatal("untraced recorder produced an exemplar")
-		}
 	}
 }

@@ -11,7 +11,6 @@
 package report
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
@@ -499,11 +498,12 @@ func writeRows(w io.Writer, sites []Site, appendRow func([]byte, Site) []byte) e
 // rowChunk is the batch writers' write size.
 const rowChunk = 64 << 10
 
-// writeRow writes one row encoded by appendRow. A *bufio.Writer lends
-// its free buffer space, so the row is encoded in place.
+// writeRow writes one row encoded by appendRow. A buffered writer
+// (*bufio.Writer, or a checkpoint output) lends its free buffer space,
+// so the row is encoded in place.
 func writeRow(w io.Writer, s Site, appendRow func([]byte, Site) []byte) error {
 	var buf []byte
-	if bw, ok := w.(*bufio.Writer); ok {
+	if bw, ok := w.(interface{ AvailableBuffer() []byte }); ok {
 		buf = bw.AvailableBuffer()
 	}
 	_, err := w.Write(appendRow(buf, s))

@@ -86,14 +86,6 @@ func (e *markedErr) Error() string   { return e.err.Error() }
 func (e *markedErr) Unwrap() error   { return e.err }
 func (e *markedErr) Transient() bool { return e.transient }
 
-// MarkTransient marks err (and everything it wraps) as retryable.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &markedErr{err: err, transient: true}
-}
-
 // MarkPermanent pins err as non-retryable even if a wrapped cause
 // carries a Transient marker: errors.As finds the outermost marker
 // first, so the pin wins.

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 
 	"github.com/cap-repro/crisprscan/internal/metrics"
@@ -99,11 +98,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// Emit the job's position in the trace: same trace ID as the inbound
 	// header (or the freshly minted one), parented at the job root span.
 	if job.TraceID != "" && job.TraceRoot != "" {
-		flags := "00"
-		if job.TraceSampled {
-			flags = "01"
-		}
-		w.Header().Set("traceparent", "00-"+job.TraceID+"-"+job.TraceRoot+"-"+flags)
+		w.Header().Set("traceparent", "00-"+job.TraceID+"-"+job.TraceRoot+"-01")
 	}
 	writeJSON(w, http.StatusAccepted, job)
 }
@@ -115,7 +110,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 //
 // Traces are served for live jobs and, after the terminal state, for as
 // long as the flight recorder retains them (failed and retried jobs are
-// kept preferentially; see Config.TraceMode and Config.FlightEntries).
+// kept preferentially; see Config.FlightEntries).
 func (s *Service) TraceHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
@@ -126,13 +121,9 @@ func (s *Service) handleTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	tr, ok := s.flight.Get(id)
 	if !ok {
-		job, exists := s.Get(id)
-		switch {
-		case !exists:
+		if _, exists := s.Get(id); !exists {
 			httpError(w, http.StatusNotFound, "unknown job %s", id)
-		case !job.TraceSampled:
-			httpError(w, http.StatusNotFound, "job %s was not sampled for tracing (trace %s)", id, job.TraceID)
-		default:
+		} else {
 			httpError(w, http.StatusNotFound, "trace of job %s was dropped by flight-recorder retention", id)
 		}
 		return
@@ -246,49 +237,6 @@ func (s *Service) WriteMetrics(e *metrics.PromEncoder) {
 	}
 	e.Family("crisprscan_service_accepting", "1 while the service admits jobs, 0 while draining.", "gauge")
 	e.Sample("crisprscan_service_accepting", nil, accepting)
-	// Per-tenant families. Cardinality is capped by Config.MaxTenantLabels
-	// with excess tenants folded into the "other" label, so a client
-	// minting tenant names cannot grow the exposition without bound. The
-	// unlabeled totals above are kept as-is: existing dashboards and the
-	// CI exposition checks see the same series they always did.
-	tens := s.tenants.snapshot()
-	tenantLabel := func(name string) []metrics.Label {
-		return []metrics.Label{{Name: "tenant", Value: name}}
-	}
-	e.Family("crisprscan_tenant_jobs_submitted_total", "Jobs accepted, by tenant (capped cardinality, overflow in \"other\").", "counter")
-	for _, t := range tens {
-		e.Sample("crisprscan_tenant_jobs_submitted_total", tenantLabel(t.tenant), float64(t.submitted))
-	}
-	e.Family("crisprscan_tenant_jobs_retried_total", "Transient-failure retries consumed, by tenant.", "counter")
-	for _, t := range tens {
-		e.Sample("crisprscan_tenant_jobs_retried_total", tenantLabel(t.tenant), float64(t.retried))
-	}
-	e.Family("crisprscan_tenant_jobs_shed_total", "Submissions rejected by queue shedding (429), by tenant.", "counter")
-	for _, t := range tens {
-		e.Sample("crisprscan_tenant_jobs_shed_total", tenantLabel(t.tenant), float64(t.shed))
-	}
-	e.Family("crisprscan_tenant_jobs_throttled_total", "Submissions rejected by per-tenant quota (429), by tenant.", "counter")
-	for _, t := range tens {
-		e.Sample("crisprscan_tenant_jobs_throttled_total", tenantLabel(t.tenant), float64(t.throttled))
-	}
-	depth := make(map[string]int, len(tens))
-	for _, t := range tens {
-		depth[t.tenant] = 0
-	}
-	s.mu.Lock()
-	for tenant, q := range s.queues {
-		depth[s.tenants.label(tenant)] += len(q)
-	}
-	s.mu.Unlock()
-	depthNames := make([]string, 0, len(depth))
-	for name := range depth {
-		depthNames = append(depthNames, name)
-	}
-	sort.Strings(depthNames)
-	e.Family("crisprscan_tenant_jobs_queued", "Jobs waiting for a worker, by tenant.", "gauge")
-	for _, name := range depthNames {
-		e.Sample("crisprscan_tenant_jobs_queued", tenantLabel(name), float64(depth[name]))
-	}
 	e.Family("crisprscan_trace_flight_entries", "Traces retained in the flight recorder.", "gauge")
 	e.Sample("crisprscan_trace_flight_entries", nil, float64(s.flight.Len()))
 	cs := s.cache.stats()

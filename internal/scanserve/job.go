@@ -144,12 +144,9 @@ type Job struct {
 	// TraceID is the job's 128-bit distributed-trace identity (32 hex
 	// chars) — inherited from the submitter's traceparent header, or
 	// minted at admission. TraceRoot is the job's root span (16 hex
-	// chars), emitted as the parent-id of the response traceparent;
-	// empty when sampling skipped the job. TraceSampled records whether
-	// spans were recorded (the /debug/trace availability signal).
-	TraceID      string `json:"trace_id,omitempty"`
-	TraceRoot    string `json:"trace_root,omitempty"`
-	TraceSampled bool   `json:"trace_sampled,omitempty"`
+	// chars), emitted as the parent-id of the response traceparent.
+	TraceID   string `json:"trace_id,omitempty"`
+	TraceRoot string `json:"trace_root,omitempty"`
 	// CreatedUnix/UpdatedUnix are wall-clock stamps (seconds).
 	CreatedUnix int64 `json:"created_unix"`
 	UpdatedUnix int64 `json:"updated_unix"`

@@ -59,7 +59,7 @@ func runRealJob(t *testing.T, dir, genomePath string, spec JobSpec) (Job, []byte
 	}
 	s.Start()
 	defer s.Drain(10 * time.Second)
-	job, err := s.Submit("", spec)
+	job, err := s.SubmitTraced("", spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestResumedJobWithRemovedEngineFailsPermanent(t *testing.T) {
 			return ctx.Err()
 		},
 	})
-	job, err := s.Submit("", spec)
+	job, err := s.SubmitTraced("", spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

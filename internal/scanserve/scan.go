@@ -1,10 +1,8 @@
 package scanserve
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"os"
 
 	"github.com/cap-repro/crisprscan"
@@ -12,27 +10,12 @@ import (
 	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
-// countingWriter tracks the logical output size so the checkpoint
-// journal can watermark it. It sits above the bufio layer: after a
-// Flush, the file's size equals base + n, and that is exactly the
-// value committed as Entry.OutBytes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // scanAttempt is the production scan path for one attempt: resolve the
 // genome through the resident cache, open (or resume) the job's
-// checkpoint journal, truncate the output artifact to the last durable
-// watermark, and stream the scan chromosome by chromosome — flushing
-// and fsyncing the output before each chromosome is committed, so a
-// crash at any instant resumes to byte-identical output.
+// checkpoint journal, and stream the scan chromosome by chromosome
+// through the journal's exactly-once output — which flushes and fsyncs
+// the rows before each chromosome is committed, so a crash at any
+// instant resumes to byte-identical output.
 func (s *Service) scanAttempt(ctx context.Context, job *Job, rec *metrics.Recorder, prog *metrics.Progress) error {
 	guides := job.Spec.guides()
 	params := job.Spec.params()
@@ -76,61 +59,32 @@ func (s *Service) scanAttempt(ctx context.Context, job *Job, rec *metrics.Record
 		return MarkPermanent(fmt.Errorf("scanserve: job %s: %w", job.ID, err))
 	}
 
-	outPath := s.store.outPath(job)
-	f, err := os.OpenFile(outPath, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(s.store.outPath(job), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("scanserve: opening output for job %s: %w", job.ID, err)
 	}
 	defer f.Close()
-	// Exactly-once bytes: the journal is at-least-once (output flush
-	// happens before Commit), so a crash between the two leaves rows past
-	// the last committed watermark. Truncating to the watermark discards
-	// exactly the uncommitted suffix; the re-scan re-emits it.
-	wm := j.OutBytes()
-	if err := f.Truncate(wm); err != nil {
-		return fmt.Errorf("scanserve: truncating output of job %s to watermark %d: %w", job.ID, wm, err)
-	}
-	if _, err := f.Seek(wm, io.SeekStart); err != nil {
-		return fmt.Errorf("scanserve: seeking output of job %s: %w", job.ID, err)
-	}
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw, n: wm}
-	if wm == 0 && !job.Spec.BED {
-		if err := crisprscan.WriteSitesTSVHeader(cw); err != nil {
-			return fmt.Errorf("scanserve: writing header for job %s: %w", job.ID, err)
-		}
-	}
-
-	writeSite := crisprscan.WriteSiteTSV
+	// Exactly-once bytes: the output is cut back to the last committed
+	// watermark, so rows flushed after it by a crashed attempt are
+	// re-emitted by the re-scan, not duplicated.
+	header, writeSite := crisprscan.WriteSitesTSVHeader, crisprscan.WriteSiteTSV
 	if job.Spec.BED {
-		writeSite = crisprscan.WriteSiteBED
+		header, writeSite = nil, crisprscan.WriteSiteBED
 	}
-	ctrl := &crisprscan.StreamControl{
-		SkipChrom: j.Done,
-		ChromDone: func(name string, sites int, scannedBases int64) error {
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("scanserve: flushing output of job %s: %w", job.ID, err)
-			}
-			if err := f.Sync(); err != nil {
-				return fmt.Errorf("scanserve: syncing output of job %s: %w", job.ID, err)
-			}
-			return j.Commit(checkpoint.Entry{
-				Chrom: name, Sites: sites, ScannedBases: scannedBases, OutBytes: cw.n,
-			})
-		},
+	out, err := j.Output(f, header)
+	if err != nil {
+		return fmt.Errorf("scanserve: job %s: %w", job.ID, err)
 	}
+	ctrl := &crisprscan.StreamControl{SkipChrom: j.Done, ChromDone: out.Commit}
 	if _, err := crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, ctrl, func(site crisprscan.Site) error {
-		return writeSite(cw, site)
+		return writeSite(out, site)
 	}); err != nil {
 		return err
 	}
 	// ChromDone flushed and synced after the last chromosome; nothing is
 	// buffered here unless the genome had zero unskipped chromosomes.
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("scanserve: flushing output of job %s: %w", job.ID, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("scanserve: syncing output of job %s: %w", job.ID, err)
+	if err := out.Flush(); err != nil {
+		return fmt.Errorf("scanserve: job %s: %w", job.ID, err)
 	}
 	if _, err := s.store.update(job.ID, func(rec *Job) { rec.Sites = j.Sites() }); err != nil {
 		return fmt.Errorf("scanserve: recording site count for job %s: %w", job.ID, err)

@@ -61,15 +61,6 @@ type Config struct {
 	// Log receives service events (default slog.Default()).
 	Log *slog.Logger
 
-	// TraceMode selects span recording per job: metrics.SampleAlways
-	// (the default, also for ""), metrics.SampleRatio (a deterministic
-	// per-tenant fraction), or metrics.SampleErrors (record everything,
-	// retain only failed or retried jobs in the flight recorder).
-	TraceMode string
-	// TraceRatio is the default sampling probability in ratio mode.
-	TraceRatio float64
-	// TenantTraceRatio overrides TraceRatio per tenant in ratio mode.
-	TenantTraceRatio map[string]float64
 	// FlightEntries bounds the in-memory flight recorder behind
 	// /debug/trace (default 64 traces).
 	FlightEntries int
@@ -78,9 +69,6 @@ type Config struct {
 	// removed when the job's flight-recorder entry is evicted. Path
 	// components are stripped.
 	TraceFile string
-	// MaxTenantLabels caps the tenant-label cardinality on /metrics
-	// (default 32); tenants beyond the cap fold into the "other" label.
-	MaxTenantLabels int
 
 	// RunScan, when non-nil, replaces the whole scan attempt — the
 	// deterministic-test seam (pair with faultinject). The production
@@ -102,16 +90,14 @@ type Config struct {
 // Service is the long-lived scan daemon: a durable job store, a bounded
 // fair-queued worker pool, per-tenant admission control, a resident
 // genome cache, and graceful drain. Construct with New, call Start,
-// submit with Submit, stop with Drain.
+// submit with SubmitTraced, stop with Drain.
 type Service struct {
-	cfg     Config
-	log     *slog.Logger
-	store   *store
-	cache   *genomeCache
-	quota   *quotas
-	sampler metrics.TraceSampler
-	flight  *metrics.FlightRecorder
-	tenants *tenantSet
+	cfg    Config
+	log    *slog.Logger
+	store  *store
+	cache  *genomeCache
+	quota  *quotas
+	flight *metrics.FlightRecorder
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand // guarded by jitterMu
@@ -196,16 +182,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Log == nil {
 		cfg.Log = slog.Default()
 	}
-	switch cfg.TraceMode {
-	case "", metrics.SampleAlways, metrics.SampleRatio, metrics.SampleErrors:
-	default:
-		return nil, fmt.Errorf("scanserve: unknown trace mode %q (want always, ratio, or errors)", cfg.TraceMode)
-	}
 	if cfg.TraceFile != "" {
 		cfg.TraceFile = filepath.Base(cfg.TraceFile)
-	}
-	if cfg.MaxTenantLabels <= 0 {
-		cfg.MaxTenantLabels = 32
 	}
 	if cfg.RunScan == nil && cfg.DefaultGenome == "" && cfg.GenomeDir == "" {
 		return nil, fmt.Errorf("scanserve: neither a default genome nor a genome directory is configured")
@@ -215,16 +193,12 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:   cfg,
-		log:   cfg.Log,
-		store: st,
-		cache: newGenomeCache(cfg.CacheGenomes, cfg.LoadGenome),
-		quota: newQuotas(cfg.QuotaRate, cfg.QuotaBurst, nil),
-		sampler: metrics.TraceSampler{
-			Mode: cfg.TraceMode, Ratio: cfg.TraceRatio, TenantRatio: cfg.TenantTraceRatio,
-		},
+		cfg:     cfg,
+		log:     cfg.Log,
+		store:   st,
+		cache:   newGenomeCache(cfg.CacheGenomes, cfg.LoadGenome),
+		quota:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst, nil),
 		flight:  metrics.NewFlightRecorder(cfg.FlightEntries),
-		tenants: newTenantSet(cfg.MaxTenantLabels),
 		jitter:  rand.New(rand.NewSource(cfg.Seed)),
 		queues:  make(map[string][]string),
 		running: make(map[string]*runningJob),
@@ -295,19 +269,14 @@ func (e *RetryAfterError) Error() string {
 	return fmt.Sprintf("scanserve: %s (retry after %s)", e.Reason, e.RetryAfter)
 }
 
-// Submit validates, admits, persists and enqueues one job with a fresh
-// trace. Admission control is strictly ordered: drain state, then spec
+// SubmitTraced validates, admits, persists and enqueues one job.
+// Admission control is strictly ordered: drain state, then spec
 // validity, then the tenant's token bucket, then global queue depth —
 // so a draining service never spends quota and a throttled tenant
-// cannot probe queue depth.
-func (s *Service) Submit(tenant string, spec JobSpec) (Job, error) {
-	return s.SubmitTraced(tenant, spec, "")
-}
-
-// SubmitTraced is Submit joining an inbound W3C traceparent: the job's
-// trace inherits the caller's trace ID, so the submitter's own tracing
-// system and /debug/trace/{jobID} tell one story. A malformed header
-// degrades to a fresh root trace — never a rejection.
+// cannot probe queue depth. The job's trace joins the inbound W3C
+// traceparent, so the submitter's own tracing system and
+// /debug/trace/{jobID} tell one story; an empty or malformed header
+// starts a fresh root trace — never a rejection.
 func (s *Service) SubmitTraced(tenant string, spec JobSpec, traceparent string) (Job, error) {
 	if tenant == "" {
 		tenant = "default"
@@ -324,7 +293,6 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, traceparent string) 
 	}
 	if ok, retryAfter := s.quota.allow(tenant); !ok {
 		s.throttled.Add(1)
-		s.tenants.counters(tenant).throttled.Add(1)
 		return Job{}, &RetryAfterError{Reason: fmt.Sprintf("tenant %s over quota", tenant), RetryAfter: retryAfter}
 	}
 	s.mu.Lock()
@@ -335,7 +303,6 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, traceparent string) 
 	if depth >= s.cfg.MaxQueue {
 		s.mu.Unlock()
 		s.shed.Add(1)
-		s.tenants.counters(tenant).shed.Add(1)
 		return Job{}, &RetryAfterError{Reason: fmt.Sprintf("queue full (%d jobs)", depth), RetryAfter: s.cfg.ShedRetryAfter}
 	}
 	s.mu.Unlock()
@@ -348,14 +315,13 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, traceparent string) 
 	if err != nil {
 		return Job{}, err
 	}
-	jt := newJobTrace(tr)
+	jt := &jobTrace{tracer: tr}
 	s.trackTrace(job.ID, jt)
 	jt.beginQueueWait()
 	s.mu.Lock()
 	s.enqueueLocked(tenant, job.ID)
 	s.mu.Unlock()
 	s.submitted.Add(1)
-	s.tenants.counters(tenant).submitted.Add(1)
 	s.queuedGa.Add(1)
 	s.ding()
 	s.log.Info("job submitted", "job", job.ID, "tenant", tenant,
@@ -635,9 +601,9 @@ func (s *Service) runJob(id string) {
 	}()
 
 	jt := s.traceOf(id)
-	if jt == nil && job.TraceSampled && job.TraceID != "" {
-		// Sampled job adopted from a previous process (crash or drain
-		// resume): rebuild its trace under the same trace ID.
+	if jt == nil && job.TraceID != "" {
+		// Job adopted from a previous process (crash or drain resume):
+		// rebuild its trace under the same trace ID.
 		jt = s.resumeTrace(&job)
 	}
 	jt.endQueueWait()
@@ -716,7 +682,6 @@ func (s *Service) retryable(ctx context.Context, id string, job *Job, cause erro
 	}
 	*job = updated
 	s.retried.Add(1)
-	s.tenants.counters(job.Tenant).retried.Add(1)
 	d := s.backoff(job.Retries)
 	s.traceOf(id).root().Eventf("retry %d after %s: %v", job.Retries, d, cause)
 	log.Info("retrying after transient failure", "retry", job.Retries, "backoff", d, "err", cause)
@@ -781,8 +746,7 @@ func (s *Service) attempt(baseCtx context.Context, job *Job, rj *runningJob) err
 	// Each dispatch is a sibling "attempt N" span under the job root; it
 	// becomes the ambient parent, so the seam spans the engines emit
 	// (compile, per-chromosome scans, worker chunks) land under it with
-	// no engine signature changes. Unsampled jobs leave the recorder's
-	// tracer nil — the provably zero-overhead fast path.
+	// no engine signature changes.
 	jt := s.traceOf(job.ID)
 	// Attempts counts dispatches and Retries counts in-dispatch re-runs;
 	// their sum is the unique ordinal that keeps sibling attempt spans

@@ -88,7 +88,7 @@ func promText(t *testing.T, s *Service) string {
 
 func TestJobLifecycleDone(t *testing.T) {
 	s := testService(t, Config{})
-	job, err := s.Submit("alice", oneGuide())
+	job, err := s.SubmitTraced("alice", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTransientFailureRetriesExactlyK(t *testing.T) {
 			return nil
 		},
 	})
-	job, err := s.Submit("", oneGuide())
+	job, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 			return errors.New("scanserve: bad PAM syntax")
 		},
 	})
-	job, err := s.Submit("", oneGuide())
+	job, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTransientBudgetExhaustionFails(t *testing.T) {
 		MaxRetries: 2,
 		RunScan:    func(ctx context.Context, job Job) error { return flaky.Next() },
 	})
-	job, err := s.Submit("", oneGuide())
+	job, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPanicIsolation(t *testing.T) {
 			return nil
 		},
 	})
-	bad, err := s.Submit("", oneGuide())
+	bad, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panicked job error = %q, want a panic message", final.Error)
 	}
 	// The pool must survive the panic and run the next job.
-	good, err := s.Submit("", oneGuide())
+	good, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +248,10 @@ func TestPanicIsolation(t *testing.T) {
 
 func TestQuotaThrottlesWithRetryAfter(t *testing.T) {
 	s := testService(t, Config{QuotaRate: 0.001, QuotaBurst: 1})
-	if _, err := s.Submit("alice", oneGuide()); err != nil {
+	if _, err := s.SubmitTraced("alice", oneGuide(), ""); err != nil {
 		t.Fatalf("first submit within burst: %v", err)
 	}
-	_, err := s.Submit("alice", oneGuide())
+	_, err := s.SubmitTraced("alice", oneGuide(), "")
 	var ra *RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("second submit err = %v, want RetryAfterError", err)
@@ -260,7 +260,7 @@ func TestQuotaThrottlesWithRetryAfter(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want > 0", ra.RetryAfter)
 	}
 	// Quotas are per tenant: bob is unaffected by alice's burst.
-	if _, err := s.Submit("bob", oneGuide()); err != nil {
+	if _, err := s.SubmitTraced("bob", oneGuide(), ""); err != nil {
 		t.Fatalf("other tenant throttled: %v", err)
 	}
 	if got := promText(t, s); !strings.Contains(got, "crisprscan_jobs_throttled_total 1") {
@@ -283,7 +283,7 @@ func TestQueueFullSheds(t *testing.T) {
 		},
 	})
 	defer close(release)
-	first, err := s.Submit("", oneGuide())
+	first, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +300,10 @@ func TestQueueFullSheds(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if _, err := s.Submit("", oneGuide()); err != nil {
+	if _, err := s.SubmitTraced("", oneGuide(), ""); err != nil {
 		t.Fatalf("queueing within capacity: %v", err)
 	}
-	_, err = s.Submit("", oneGuide())
+	_, err = s.SubmitTraced("", oneGuide(), "")
 	var ra *RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("over-capacity submit err = %v, want RetryAfterError (shed)", err)
@@ -329,11 +329,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		},
 	})
 	defer close(release)
-	running, err := s.Submit("", oneGuide())
+	running, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit("", oneGuide())
+	queued, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,14 +387,14 @@ func TestFairQueuingAcrossTenants(t *testing.T) {
 	// Pin the single worker on a warm-up job so the real submissions all
 	// queue before any dispatch — then fairness, not arrival order,
 	// decides execution order.
-	warm, err := s.Submit("warm", oneGuide())
+	warm, err := s.SubmitTraced("warm", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-warmRunning
 	var ids []string
 	for _, tenant := range []string{"alice", "alice", "alice", "bob"} {
-		job, err := s.Submit(tenant, oneGuide())
+		job, err := s.SubmitTraced(tenant, oneGuide(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestDrainCheckpointsInFlightJobs(t *testing.T) {
 	})
 	var ids []string
 	for i := 0; i < 2; i++ {
-		job, err := s.Submit("", oneGuide())
+		job, err := s.SubmitTraced("", oneGuide(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestDrainCheckpointsInFlightJobs(t *testing.T) {
 	if s.Accepting() {
 		t.Fatal("service still accepting after drain")
 	}
-	if _, err := s.Submit("", oneGuide()); !errors.Is(err, ErrDraining) {
+	if _, err := s.SubmitTraced("", oneGuide(), ""); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain err = %v, want ErrDraining", err)
 	}
 	for _, id := range ids {
@@ -508,7 +508,7 @@ func TestCrashRecoveryRequeuesRunningJobs(t *testing.T) {
 			return ctx.Err()
 		},
 	})
-	job, err := s.Submit("", oneGuide())
+	job, err := s.SubmitTraced("", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,20 +532,20 @@ func TestCrashRecoveryRequeuesRunningJobs(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := testService(t, Config{})
-	if _, err := s.Submit("", JobSpec{K: 1}); err == nil {
+	if _, err := s.SubmitTraced("", JobSpec{K: 1}, ""); err == nil {
 		t.Fatal("no-guides spec accepted")
 	}
-	if _, err := s.Submit("", JobSpec{Guides: []GuideSpec{{Spacer: "  "}}}); err == nil {
+	if _, err := s.SubmitTraced("", JobSpec{Guides: []GuideSpec{{Spacer: "  "}}}, ""); err == nil {
 		t.Fatal("blank spacer accepted")
 	}
 	spec := oneGuide()
 	spec.K = -1
-	if _, err := s.Submit("", spec); err == nil {
+	if _, err := s.SubmitTraced("", spec, ""); err == nil {
 		t.Fatal("negative k accepted")
 	}
 	spec = oneGuide()
 	spec.Genome = "../../etc/passwd"
-	if _, err := s.Submit("", spec); err == nil {
+	if _, err := s.SubmitTraced("", spec, ""); err == nil {
 		t.Fatal("escaping genome path accepted")
 	}
 }

@@ -97,7 +97,7 @@ func (s *store) create(tenant string, spec JobSpec, resolvedGenome string, trace
 	j := &Job{
 		ID: id, Tenant: tenant, Spec: spec, State: StateQueued,
 		ResolvedGenome: resolvedGenome,
-		TraceID:        trace.id, TraceRoot: trace.root, TraceSampled: trace.sampled,
+		TraceID:        trace.id, TraceRoot: trace.root,
 		CreatedUnix: now, UpdatedUnix: now,
 	}
 	if err := os.MkdirAll(s.jobDir(id), 0o755); err != nil {

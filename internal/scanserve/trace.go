@@ -22,27 +22,18 @@ import (
 // traceIdentity is the persisted trace identity of one job, decided at
 // admission.
 type traceIdentity struct {
-	id      string // 32-hex-char trace ID
-	root    string // 16-hex-char root span ID; empty when unsampled
-	sampled bool
+	id   string // 32-hex-char trace ID
+	root string // 16-hex-char root span ID
 }
 
 // jobTrace owns the live trace of one job between admission and its
-// terminal state. A nil *jobTrace (unsampled job) accepts every method
-// as a no-op.
+// terminal state. A nil *jobTrace (a resumed job whose record holds no
+// decodable trace ID) accepts every method as a no-op.
 type jobTrace struct {
 	tracer *metrics.SpanTracer
 
 	mu       sync.Mutex
 	queueEnd func() // guarded by mu; ends the current queue-wait span
-}
-
-// newJobTrace wraps a tracer; nil in, nil out.
-func newJobTrace(tr *metrics.SpanTracer) *jobTrace {
-	if tr == nil {
-		return nil
-	}
-	return &jobTrace{tracer: tr}
 }
 
 // root returns the trace's root span (nil-safe).
@@ -92,21 +83,19 @@ func (t *jobTrace) startAttempt(n int) (*metrics.Span, func()) {
 	return span, end
 }
 
-// install attaches the trace to an attempt's recorder: the tracer for
-// seam spans and the trace ID for chunk-latency exemplars. Installing
-// nothing on a nil receiver keeps the recorder's nil-tracer fast path.
+// install attaches the trace's tracer to an attempt's recorder for the
+// seam spans. Installing nothing on a nil receiver keeps the
+// recorder's nil-tracer fast path.
 func (t *jobTrace) install(rec *metrics.Recorder) {
 	if t == nil {
 		return
 	}
 	rec.SetTracer(t.tracer)
-	rec.SetTraceID(t.tracer.TraceID().String())
 }
 
 // admitTrace decides the job's trace identity from the inbound
 // traceparent header (malformed or absent degrades to a fresh root —
-// never a rejection) and, when sampling selects the job, starts its
-// tracer.
+// never a rejection) and starts its tracer.
 func (s *Service) admitTrace(tenant, traceparent string) (traceIdentity, *metrics.SpanTracer) {
 	tid, parentSpan, _, perr := metrics.ParseTraceparent(traceparent)
 	if perr != nil {
@@ -115,23 +104,14 @@ func (s *Service) admitTrace(tenant, traceparent string) (traceIdentity, *metric
 		}
 		tid, parentSpan = metrics.NewTraceID(), metrics.SpanID{}
 	}
-	ident := traceIdentity{id: tid.String()}
-	if !s.sampler.Record(tenant, tid) {
-		return ident, nil
-	}
 	tr := metrics.NewSpanTracer(tid, "job", parentSpan)
 	tr.Root().SetAttr("tenant", tenant)
-	ident.root = tr.Root().ID().String()
-	ident.sampled = true
-	return ident, tr
+	return traceIdentity{id: tid.String(), root: tr.Root().ID().String()}, tr
 }
 
 // trackTrace registers a freshly admitted trace under its job ID.
 // Caller must invoke it before the job becomes dequeueable.
 func (s *Service) trackTrace(id string, jt *jobTrace) {
-	if jt == nil {
-		return
-	}
 	jt.root().SetAttr("job", id)
 	jt.root().Eventf("submitted")
 	s.flight.Track(id, jt.tracer)
@@ -147,8 +127,8 @@ func (s *Service) traceOf(id string) *jobTrace {
 	return s.traces[id]
 }
 
-// resumeTrace rebuilds a trace for a sampled job adopted from a
-// previous process (crash or drain resume): same trace ID, a fresh
+// resumeTrace rebuilds a trace for a job adopted from a previous
+// process (crash or drain resume): same trace ID, a fresh
 // root parented under the job's original root span, so the resumed run
 // stays findable under the inbound trace.
 func (s *Service) resumeTrace(job *Job) *jobTrace {
@@ -162,14 +142,15 @@ func (s *Service) resumeTrace(job *Job) *jobTrace {
 	}
 	tr := metrics.NewSpanTracer(tid, "job (resumed)", parent)
 	tr.Root().SetAttr("tenant", job.Tenant)
-	jt := newJobTrace(tr)
+	jt := &jobTrace{tracer: tr}
 	s.trackTrace(job.ID, jt)
 	return jt
 }
 
 // sealTrace finalizes a job's trace at its terminal transition: close
-// the root, apply the retention policy, and (in serve mode with -trace)
-// write the per-job Chrome trace file under the job's spool directory.
+// the root, hand it to the flight recorder, and (in serve mode with
+// -trace) write the per-job Chrome trace file under the job's spool
+// directory.
 func (s *Service) sealTrace(id string, st State, retries int) {
 	s.mu.Lock()
 	jt := s.traces[id]
@@ -184,12 +165,10 @@ func (s *Service) sealTrace(id string, st State, retries int) {
 	root.SetAttr("state", string(st))
 	root.Eventf("finished: %s", st)
 	root.End()
-	failed := st != StateDone || retries > 0
-	retain := s.sampler.Retain(failed)
-	if retain && s.cfg.TraceFile != "" {
+	if s.cfg.TraceFile != "" {
 		s.writeTraceFile(id, jt.tracer)
 	}
-	s.flight.Seal(id, failed, retain)
+	s.flight.Seal(id, st != StateDone || retries > 0)
 }
 
 // writeTraceFile renders the trace as a Chrome trace-event file in the

@@ -111,9 +111,6 @@ func TestTraceparentMalformedNeverRejects(t *testing.T) {
 		if job.TraceID == inboundID {
 			t.Fatalf("traceparent %q: malformed header's trace ID was adopted", h)
 		}
-		if !job.TraceSampled {
-			t.Fatalf("traceparent %q: job not sampled under the always mode", h)
-		}
 	}
 }
 
@@ -164,7 +161,7 @@ func TestRetryAttemptsAreSiblingSpans(t *testing.T) {
 		RetryMax:   time.Millisecond,
 		RunScan:    func(ctx context.Context, job Job) error { return flaky.Next() },
 	})
-	job, err := s.Submit("alice", oneGuide())
+	job, err := s.SubmitTraced("alice", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +295,8 @@ func TestTracedScanSpanTree(t *testing.T) {
 }
 
 // TestTraceEndpoint404Variants: the debug endpoint distinguishes an
-// unknown job, a job sampling skipped, and a trace the flight recorder
-// dropped — three different operator answers.
+// unknown job from a trace the flight recorder dropped — two different
+// operator answers.
 func TestTraceEndpoint404Variants(t *testing.T) {
 	get := func(t *testing.T, base, id string) (int, string) {
 		t.Helper()
@@ -323,38 +320,22 @@ func TestTraceEndpoint404Variants(t *testing.T) {
 		}
 	})
 
-	t.Run("not sampled", func(t *testing.T) {
-		s := testService(t, Config{TraceMode: metrics.SampleRatio, TraceRatio: 0})
-		srv := httptest.NewServer(s.TraceHandler())
-		defer srv.Close()
-		job, err := s.Submit("alice", oneGuide())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.TraceSampled {
-			t.Fatal("ratio-0 sampling recorded a trace")
-		}
-		if !hex32.MatchString(job.TraceID) {
-			t.Fatalf("unsampled job still needs a trace identity, got %q", job.TraceID)
-		}
-		waitTerminal(t, s, job.ID)
-		code, msg := get(t, srv.URL, job.ID)
-		if code != http.StatusNotFound || !strings.Contains(msg, "not sampled") {
-			t.Fatalf("got %d %q", code, msg)
-		}
-	})
-
 	t.Run("dropped by retention", func(t *testing.T) {
-		// Errors mode records everything but retains only failed or
-		// retried jobs; a healthy job's trace is gone by its terminal state.
-		s := testService(t, Config{TraceMode: metrics.SampleErrors})
+		// A one-entry ring evicts the first healthy job's sealed trace
+		// when the second job is admitted.
+		s := testService(t, Config{FlightEntries: 1})
 		srv := httptest.NewServer(s.TraceHandler())
 		defer srv.Close()
-		job, err := s.Submit("alice", oneGuide())
+		job, err := s.SubmitTraced("alice", oneGuide(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitTerminal(t, s, job.ID)
+		next, err := s.SubmitTraced("alice", oneGuide(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, s, next.ID)
 		code, msg := get(t, srv.URL, job.ID)
 		if code != http.StatusNotFound || !strings.Contains(msg, "dropped") {
 			t.Fatalf("got %d %q", code, msg)
@@ -362,52 +343,43 @@ func TestTraceEndpoint404Variants(t *testing.T) {
 	})
 }
 
-// TestErrorsModeRetainsFailedTraces: the flip side of the errors mode —
-// a job that consumed retries keeps its trace.
-func TestErrorsModeRetainsFailedTraces(t *testing.T) {
-	flaky := &faultinject.Flaky{Fails: 1, Err: errors.New("hiccup")}
-	s := testService(t, Config{
-		TraceMode:  metrics.SampleErrors,
-		MaxRetries: 2,
-		RetryBase:  time.Millisecond,
-		RetryMax:   time.Millisecond,
-		RunScan:    func(ctx context.Context, job Job) error { return flaky.Next() },
-	})
-	job, err := s.Submit("alice", oneGuide())
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, s, job.ID)
-	if final.State != StateDone || final.Retries != 1 {
-		t.Fatalf("job = %s retries %d, want done after 1 retry", final.State, final.Retries)
-	}
-	tree := flightTree(t, s, job.ID)
-	if got := len(findSpans(tree.Root, "attempt ")); got != 2 {
-		t.Fatalf("retained trace has %d attempt spans, want 2", got)
-	}
-}
-
-// TestTenantMetricsCardinalityCap: a client minting tenant names cannot
-// grow the exposition without bound — excess tenants fold into "other".
-func TestTenantMetricsCardinalityCap(t *testing.T) {
-	s := testService(t, Config{MaxTenantLabels: 2})
-	for _, tenant := range []string{"a", "b", "c", "d"} {
-		if _, err := s.Submit(tenant, oneGuide()); err != nil {
+// TestOlderRecordsResumeWithATrace: job records written while traces
+// were sampled carry "trace_sampled" — true with a root span, or false
+// without one. Either record still loads, resumes, and gets a trace
+// under its persisted trace ID.
+func TestOlderRecordsResumeWithATrace(t *testing.T) {
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	for _, sampled := range []bool{true, false} {
+		dir := t.TempDir()
+		rec := map[string]any{
+			"id": "j000000", "tenant": "alice", "spec": oneGuide(), "state": "running",
+			"trace_id": traceID, "trace_sampled": sampled,
+			"created_unix": 1, "updated_unix": 1,
+		}
+		if sampled {
+			rec["trace_root"] = "00f067aa0ba902b7"
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	text := promText(t, s)
-	for _, want := range []string{
-		`crisprscan_tenant_jobs_submitted_total{tenant="a"} 1`,
-		`crisprscan_tenant_jobs_submitted_total{tenant="b"} 1`,
-		`crisprscan_tenant_jobs_submitted_total{tenant="other"} 2`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, text)
+		if err := os.MkdirAll(filepath.Join(dir, "j000000"), 0o755); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if strings.Contains(text, `tenant="c"`) || strings.Contains(text, `tenant="d"`) {
-		t.Fatalf("overflow tenants leaked their own labels:\n%s", text)
+		if err := os.WriteFile(filepath.Join(dir, "j000000", jobRecordName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := testService(t, Config{Dir: dir})
+		if final := waitTerminal(t, s, "j000000"); final.State != StateDone {
+			t.Fatalf("trace_sampled=%v: resumed job = %s (err %q), want done", sampled, final.State, final.Error)
+		}
+		tree := flightTree(t, s, "j000000")
+		if tree.TraceID != traceID {
+			t.Fatalf("trace_sampled=%v: resumed trace %s, want %s", sampled, tree.TraceID, traceID)
+		}
+		if len(findSpans(tree.Root, "attempt ")) != 1 {
+			t.Fatalf("trace_sampled=%v: resumed trace has no attempt span", sampled)
+		}
 	}
 }
 
@@ -415,7 +387,7 @@ func TestTenantMetricsCardinalityCap(t *testing.T) {
 // /metrics.
 func TestTraceFlightGaugeExported(t *testing.T) {
 	s := testService(t, Config{})
-	job, err := s.Submit("alice", oneGuide())
+	job, err := s.SubmitTraced("alice", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +402,7 @@ func TestTraceFlightGaugeExported(t *testing.T) {
 // exactly as long as its flight-recorder entry.
 func TestTraceFileWrittenAndEvictedWithEntry(t *testing.T) {
 	s := testService(t, Config{TraceFile: "trace.json", FlightEntries: 1})
-	job1, err := s.Submit("alice", oneGuide())
+	job1, err := s.SubmitTraced("alice", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +419,7 @@ func TestTraceFileWrittenAndEvictedWithEntry(t *testing.T) {
 
 	// A second job over the 1-entry ring evicts the first trace — and
 	// with it the on-disk artifact.
-	job2, err := s.Submit("alice", oneGuide())
+	job2, err := s.SubmitTraced("alice", oneGuide(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,18 +33,6 @@ func streamFixture(t *testing.T, seed int64) ([]byte, []Guide) {
 	return buf.Bytes(), guides
 }
 
-// tsvSink accumulates streamed sites exactly the way the CLI does:
-// header once, then one row per yielded site.
-func tsvSink(t *testing.T, buf *bytes.Buffer, withHeader bool) func(Site) error {
-	t.Helper()
-	if withHeader {
-		if err := WriteSitesTSVHeader(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return func(s Site) error { return WriteSiteTSV(buf, s) }
-}
-
 func TestSearchStreamCheckpointResumeByteIdentical(t *testing.T) {
 	blob, guides := streamFixture(t, 701)
 	params := Params{MaxMismatches: 3}
@@ -53,7 +41,7 @@ func TestSearchStreamCheckpointResumeByteIdentical(t *testing.T) {
 	// Reference: one uninterrupted checkpointed run.
 	var want bytes.Buffer
 	wantStats, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides,
-		params, filepath.Join(dir, "full.ckpt"), nil, tsvSink(t, &want, true))
+		params, nil, filepath.Join(dir, "full.ckpt"), &want, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +63,8 @@ func TestSearchStreamCheckpointResumeByteIdentical(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := SearchStreamCheckpoint(ctx, bytes.NewReader(blob), guides, params, ckpt,
-		flush, tsvSink(t, &got, true))
+	stats, err := SearchStreamCheckpoint(ctx, bytes.NewReader(blob), guides, params,
+		&StreamControl{ChromDone: func(string, int, int64) error { return flush() }}, ckpt, &got, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: want wrapped context.Canceled, got %v", err)
 	}
@@ -88,7 +76,7 @@ func TestSearchStreamCheckpointResumeByteIdentical(t *testing.T) {
 	// remaining rows are appended, and the concatenation is
 	// byte-identical to the uninterrupted run.
 	resumeStats, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides,
-		params, ckpt, nil, tsvSink(t, &got, false))
+		params, nil, ckpt, &got, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +100,8 @@ func TestSearchStreamCheckpointRejectsChangedParams(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	flush := func() error { cancel(); return nil }
-	if _, err := SearchStreamCheckpoint(ctx, bytes.NewReader(blob), guides, params, ckpt,
-		flush, tsvSink(t, &sink, true)); !errors.Is(err, context.Canceled) {
+	if _, err := SearchStreamCheckpoint(ctx, bytes.NewReader(blob), guides, params,
+		&StreamControl{ChromDone: func(string, int, int64) error { return flush() }}, ckpt, &sink, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("setup run: want cancellation, got %v", err)
 	}
 
@@ -122,16 +110,16 @@ func TestSearchStreamCheckpointRejectsChangedParams(t *testing.T) {
 		"pam":        {MaxMismatches: 2, PAM: "NAG"},
 		"engine":     {MaxMismatches: 2, Engine: EngineCasOffinder},
 	} {
-		_, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides, p, ckpt,
-			nil, func(Site) error { return nil })
+		_, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides, p,
+			nil, ckpt, new(bytes.Buffer), false)
 		if err == nil || !strings.Contains(err.Error(), "different parameters") {
 			t.Errorf("%s change: resume must be rejected with a fingerprint error, got %v", name, err)
 		}
 	}
 	// Changed guide set is rejected too.
 	fewer := guides[:len(guides)-1]
-	if _, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), fewer, params, ckpt,
-		nil, func(Site) error { return nil }); err == nil || !strings.Contains(err.Error(), "different parameters") {
+	if _, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), fewer, params,
+		nil, ckpt, new(bytes.Buffer), false); err == nil || !strings.Contains(err.Error(), "different parameters") {
 		t.Errorf("guide change: resume must be rejected, got %v", err)
 	}
 }
