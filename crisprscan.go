@@ -451,17 +451,22 @@ func FingerprintParams(guides []Guide, p Params) string {
 // SearchStreamCheckpoint is SearchStreamContext with chromosome-
 // granularity checkpoint/resume journaled at path, writing the sites to
 // out as TSV (or BED6 when bed is set) exactly once. Chromosomes the
-// journal already lists are skipped. Each completed chromosome's rows
-// are flushed and, for a file, synced before the chromosome is
-// committed together with the output size; a resume cuts a file back to
-// that size first, so rows a crash left past it are re-emitted, not
-// duplicated. out must be the same file on every run, opened without
+// journal already lists are skipped. Completed chromosomes are
+// group-committed: at the first one, then at most about once a second,
+// and always before the call returns, whether it fails or not. A
+// commit flushes the rows and, for a file, syncs them, then journals
+// each chromosome since the last commit with the output size at its
+// last row; a resume cuts a file back to the last journaled size first,
+// so rows a crash left past it are re-emitted, not duplicated. A kill -9
+// re-scans at most about a second of work plus the chromosome in
+// flight. out must be the same file on every run, opened without
 // truncation; a destination that cannot be truncated must hold exactly
 // the committed bytes. A journal written under different guides or
 // Params is rejected with a fingerprint error before any scanning
 // starts. ctrl, when non-nil, may set ChromDone to observe each
-// chromosome after its commit; the journal decides which chromosomes to
-// skip, so ctrl.SkipChrom must be nil.
+// chromosome when it is recorded; it becomes durable at the next
+// commit. The journal decides which chromosomes to skip, so
+// ctrl.SkipChrom must be nil.
 func SearchStreamCheckpoint(ctx context.Context, r io.Reader, guides []Guide, p Params, ctrl *StreamControl, path string, out io.Writer, bed bool) (*Stats, error) {
 	if ctrl != nil && ctrl.SkipChrom != nil {
 		return nil, fmt.Errorf("crisprscan: SearchStreamCheckpoint: the journal decides which chromosomes to skip")
@@ -491,8 +496,10 @@ func SearchStreamCheckpoint(ctx context.Context, r io.Reader, guides []Guide, p 
 		},
 	}
 	st, err := SearchStreamContext(ctx, r, guides, p, jctrl, func(s Site) error { return writeSite(o, s) })
-	// Each commit flushed its rows; this delivers what came after the
-	// last one, such as the header of a scan that committed nothing.
+	// Commit on every exit: this journals the chromosomes completed
+	// since the last commit, a cancelled scan's included, and delivers
+	// any rows after them, such as the header of a scan that completed
+	// nothing.
 	if ferr := o.Flush(); ferr != nil && err == nil {
 		err = ferr
 	}

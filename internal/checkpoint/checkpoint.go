@@ -1,19 +1,26 @@
 // Package checkpoint makes long streaming scans resumable: a sidecar
 // journal records each fully completed chromosome (name, site count,
-// cumulative reference bases scanned) together with a fingerprint of
-// the search parameters, so an interrupted offtarget -stream run can be
-// restarted and skip straight past the work it already finished — and a
-// resume attempt with different parameters (a different k, PAM, or
-// engine would produce a different site set) is rejected instead of
-// silently stitching incompatible outputs together.
+// cumulative reference bases scanned, output size) together with a
+// fingerprint of the search parameters, so an interrupted offtarget
+// -stream run or scan-service job can be restarted and skip straight
+// past the work it already finished — and a resume attempt with
+// different parameters (a different k, PAM, or engine would produce a
+// different site set) is rejected instead of silently stitching
+// incompatible outputs together.
 //
 // The journal is a single JSON document rewritten via write-to-temp +
-// rename after every committed chromosome, so a crash at any instant
-// leaves either the previous journal or the new one on disk, never a
-// torn file. Output writes the scan's rows exactly once on top of it:
-// rows reach the output before their chromosome commits, each commit
-// records the output size, and a resume cuts the output back to that
-// size before the re-scan appends.
+// rename, so a crash at any instant leaves either the previous journal
+// or the new one on disk, never a torn file. Output writes the scan's
+// rows exactly once on top of it and group-commits: the unit of
+// recovery is one chromosome, but the unit of durability is a commit,
+// which flushes and syncs the rows and then journals every
+// chromosome recorded since the last one in one rewrite. Output commits
+// at its first chromosome, then at most about once a second
+// (commitEvery), and at Flush; a kill -9 therefore re-scans at most
+// about a second of work plus the chromosome in flight. Each entry's
+// output size is taken when its chromosome's last row is written, and a
+// resume cuts the output back to the last journaled size before the
+// re-scan appends, so rows past it are re-emitted, not duplicated.
 package checkpoint
 
 import (
@@ -27,6 +34,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
+
+	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // Entry records one completed chromosome.
@@ -39,8 +49,9 @@ type Entry struct {
 	// end of this chromosome, across every run that added to the
 	// journal.
 	ScannedBases int64 `json:"scanned_bases"`
-	// OutBytes is the size of the output after this chromosome's rows
-	// were flushed and synced (see Output).
+	// OutBytes is the size of the output once this chromosome's rows
+	// are written; they are flushed and synced before the entry is
+	// journaled (see Output).
 	OutBytes int64 `json:"out_bytes,omitempty"`
 }
 
@@ -144,34 +155,60 @@ func (j *Journal) Sites() int {
 	return n
 }
 
-// Commit appends one completed chromosome and atomically rewrites the
-// journal file (write temp, fsync, rename).
-func (j *Journal) Commit(e Entry) error {
-	if j.done[e.Chrom] {
-		return fmt.Errorf("checkpoint: chromosome %q committed twice", e.Chrom)
+// Commit appends completed chromosomes and atomically rewrites the
+// journal file once (write temp, fsync, rename, directory fsync). On
+// error the in-memory journal is left as it was, so a later Commit of
+// the same entries retries the write.
+func (j *Journal) Commit(entries ...Entry) (err error) {
+	n := len(j.file.Entries)
+	defer func() {
+		if err != nil {
+			for _, e := range j.file.Entries[n:] {
+				delete(j.done, e.Chrom)
+			}
+			j.file.Entries = j.file.Entries[:n]
+		}
+	}()
+	for _, e := range entries {
+		if j.done[e.Chrom] {
+			return fmt.Errorf("checkpoint: chromosome %q committed twice", e.Chrom)
+		}
+		j.done[e.Chrom] = true
+		j.file.Entries = append(j.file.Entries, e)
 	}
-	j.file.Entries = append(j.file.Entries, e)
-	j.done[e.Chrom] = true
 	data, err := json.MarshalIndent(&j.file, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding journal: %w", err)
 	}
-	data = append(data, '\n')
-	return atomicWrite(j.path, data)
+	return atomicWrite(j.path, append(data, '\n'))
 }
 
+// commitEvery is Output's group-commit budget: after its first commit,
+// an Output makes a chromosome durable once this much wall time has
+// passed since the last commit, and otherwise holds its entry for the
+// next commit or Flush. It bounds both what a kill -9 re-scans (about
+// this long plus the chromosome in flight) and what commits cost (at
+// most one durable write per interval of scanning). Time, not a
+// chromosome count, because contigs range from kilobases to hundreds of
+// megabases. A variable so tests can lower it.
+var commitEvery = time.Second
+
 // Output writes a checkpointed scan's rows exactly once. Rows are
-// buffered; Commit flushes and syncs them, then journals the
-// chromosome with the output size as its watermark. Opened on a resumed
-// journal, Output first cuts the file back to the last watermark, so
-// rows a crash left between a flush and its commit are dropped and
-// re-emitted by the re-scan instead of duplicated.
+// buffered; a commit flushes and syncs them, then journals every
+// chromosome recorded since the previous commit, each with the output
+// size at its last row as its watermark. Opened on a resumed journal,
+// Output first cuts the file back to the last watermark, so rows a
+// crash left past it are dropped and re-emitted by the re-scan instead
+// of duplicated.
 type Output struct {
-	j     *Journal
-	bw    *bufio.Writer
-	sync  func() error // nil when the destination cannot be synced
-	n     int64        // output size once bw is flushed
-	bases int64        // bases journaled before this run
+	j       *Journal
+	bw      *bufio.Writer
+	sync    func() error // nil when the destination cannot be synced
+	n       int64        // output size once bw is flushed
+	bases   int64        // bases journaled before this run
+	pending []Entry      // recorded, not yet journaled
+	commits int          // durable commits made
+	since   metrics.Stopwatch
 }
 
 // Output positions out at the journal's watermark and returns the
@@ -218,7 +255,7 @@ func (j *Journal) Output(out io.Writer, header func(io.Writer) error) (*Output, 
 	return o, nil
 }
 
-// Write buffers p; it reaches the destination at the next Commit or
+// Write buffers p; it reaches the destination at the next commit or
 // Flush.
 func (o *Output) Write(p []byte) (int, error) {
 	n, err := o.bw.Write(p)
@@ -230,18 +267,26 @@ func (o *Output) Write(p []byte) (int, error) {
 // bufio.Writer does, so a row can be encoded in place before Write.
 func (o *Output) AvailableBuffer() []byte { return o.bw.AvailableBuffer() }
 
-// Commit flushes and syncs the rows written so far, then journals the
-// completed chromosome with the output size. scannedBases counts this
-// run's bases; the journal adds the bases of earlier runs. It has the
-// signature of the streaming search's chromosome-done hook.
+// Commit records a completed chromosome whose rows have all been
+// written, with the output size so far as its watermark. scannedBases
+// counts this run's bases; the journal adds the bases of earlier runs.
+// The first Commit is durable at once, so an unwritable output or
+// journal fails after one chromosome; later entries become durable at
+// the first Commit or Flush after commitEvery has passed since the last
+// durable commit. It has the signature of the streaming search's
+// chromosome-done hook.
 func (o *Output) Commit(chrom string, sites int, scannedBases int64) error {
-	if err := o.Flush(); err != nil {
-		return err
+	o.pending = append(o.pending, Entry{Chrom: chrom, Sites: sites, ScannedBases: o.bases + scannedBases, OutBytes: o.n})
+	if o.commits > 0 && o.since.ElapsedNanos() < int64(commitEvery) {
+		return nil
 	}
-	return o.j.Commit(Entry{Chrom: chrom, Sites: sites, ScannedBases: o.bases + scannedBases, OutBytes: o.n})
+	return o.Flush()
 }
 
-// Flush writes the buffered rows out and syncs the destination.
+// Flush writes the buffered rows out, syncs the destination, and
+// journals every pending chromosome in one rewrite. Every exit from a
+// checkpointed scan, failed or not, must call it, or the chromosomes
+// recorded since the last commit are re-scanned on resume.
 func (o *Output) Flush() error {
 	if err := o.bw.Flush(); err != nil {
 		return fmt.Errorf("checkpoint: flushing output: %w", err)
@@ -251,8 +296,20 @@ func (o *Output) Flush() error {
 			return fmt.Errorf("checkpoint: syncing output: %w", err)
 		}
 	}
+	if len(o.pending) == 0 {
+		return nil
+	}
+	if err := o.j.Commit(o.pending...); err != nil {
+		return err
+	}
+	o.pending = o.pending[:0]
+	o.commits++
+	o.since = metrics.NewStopwatch()
 	return nil
 }
+
+// Commits returns the number of durable journal commits made.
+func (o *Output) Commits() int { return o.commits }
 
 // atomicWrite replaces path with data via a same-directory temp file,
 // rename, and a directory sync, so readers never observe a torn journal

@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestOpenMissingFileIsEmpty(t *testing.T) {
@@ -241,5 +245,103 @@ func TestAtomicWriteFileInstallsAndSyncs(t *testing.T) {
 	}
 	if syncs != 2 {
 		t.Fatalf("AtomicWriteFile performed %d directory syncs, want 2", syncs)
+	}
+}
+
+// TestOutputGroupCommits counts journal writes through syncDir: inside
+// the budget, N chromosomes plus Flush write the journal twice (the
+// first chromosome at once, the rest at Flush); with no budget each
+// chromosome writes it. Either way every chromosome is journaled with
+// the output size at its own last row.
+func TestOutputGroupCommits(t *testing.T) {
+	realSync, realEvery := syncDir, commitEvery
+	defer func() { syncDir, commitEvery = realSync, realEvery }()
+	writes := 0
+	syncDir = func(dir string) error {
+		writes++
+		return realSync(dir)
+	}
+	const n = 6
+	for _, tc := range []struct {
+		every time.Duration
+		want  int
+	}{{time.Hour, 2}, {0, n}} {
+		commitEvery, writes = tc.every, 0
+		dir := t.TempDir()
+		path := filepath.Join(dir, "scan.ckpt")
+		j, err := Open(path, fuzzFingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(filepath.Join(dir, "out.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		o, err := j.Output(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			io.WriteString(o, "row"+strconv.Itoa(i)+"\n")
+			if err := o.Commit("chr"+strconv.Itoa(i), 1, int64(100*(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if writes != tc.want || o.Commits() != tc.want {
+			t.Fatalf("budget %s: %d journal writes, %d commits; want %d", tc.every, writes, o.Commits(), tc.want)
+		}
+		back, err := Open(path, fuzzFingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range back.file.Entries {
+			if e.OutBytes != int64(5*(i+1)) || e.ScannedBases != int64(100*(i+1)) {
+				t.Fatalf("budget %s: entry %d = %+v, want its own watermarks", tc.every, i, e)
+			}
+		}
+		if back.Chroms() != n {
+			t.Fatalf("budget %s: journal lists %d chromosomes, want %d", tc.every, back.Chroms(), n)
+		}
+	}
+}
+
+// TestOutputFlushRetriesFailedCommit: a group commit that fails leaves
+// its chromosomes pending, so the next Flush journals them all.
+func TestOutputFlushRetriesFailedCommit(t *testing.T) {
+	realSync, realEvery := syncDir, commitEvery
+	defer func() { syncDir, commitEvery = realSync, realEvery }()
+	commitEvery = time.Hour
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	j, err := Open(path, fuzzFingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := j.Output(new(bytes.Buffer), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, chrom := range []string{"chr1", "chr2", "chr3"} {
+		if err := o.Commit(chrom, 0, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncDir = func(string) error { return os.ErrPermission }
+	if err := o.Flush(); err == nil {
+		t.Fatal("Flush with a failing journal write returned nil")
+	}
+	syncDir = realSync
+	if err := o.Flush(); err != nil {
+		t.Fatalf("retried Flush: %v", err)
+	}
+	back, err := Open(path, fuzzFingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Chroms() != 3 || o.Commits() != 2 {
+		t.Fatalf("journal lists %d chromosomes after %d commits, want 3 after 2", back.Chroms(), o.Commits())
 	}
 }

@@ -25,7 +25,9 @@ type StreamControl struct {
 	// sites have all been yielded: name, the number of sites the
 	// chromosome produced, and the cumulative reference bases scanned so
 	// far (Stats.BytesScanned at that point). Returning an error aborts
-	// the stream. Checkpoint journaling hangs off this hook.
+	// the stream. Checkpoint journaling hangs off this hook: the
+	// checkpointed searches record each chromosome here and make it
+	// durable at their next group commit, always before they return.
 	ChromDone func(name string, sites int, scannedBases int64) error
 }
 

@@ -68,9 +68,7 @@ func retryAfterSeconds(d float64) string {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeSpec(http.MaxBytesReader(w, req.Body, maxSubmitBytes), &spec); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooBig.Limit)
@@ -101,6 +99,25 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("traceparent", "00-"+job.TraceID+"-"+job.TraceRoot+"-01")
 	}
 	writeJSON(w, http.StatusAccepted, job)
+}
+
+// decodeSpec decodes a body holding exactly one job spec: an unknown
+// field, a second value or trailing garbage is an error, not silently
+// dropped.
+func decodeSpec(r io.Reader, spec *JobSpec) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return err
+	}
+	switch err := dec.Decode(new(json.RawMessage)); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil:
+		return errors.New("scanserve: trailing data after the job spec")
+	default:
+		return fmt.Errorf("scanserve: trailing data after the job spec: %w", err)
+	}
 }
 
 // TraceHandler returns the flight-recorder endpoint:

@@ -167,6 +167,22 @@ func TestHTTPBackpressureAndErrors(t *testing.T) {
 		t.Fatalf("bad JSON = %d, want 400", br.StatusCode)
 	}
 
+	// One body, one spec: a second value or trailing garbage → 400, not
+	// a job built from the first value.
+	for _, body := range []string{
+		`{"guides":[{"spacer":"ACGTACGTACGTACGTACGT"}],"k":1} {"k":9}`,
+		`{"guides":[{"spacer":"ACGTACGTACGTACGTACGT"}],"k":1} garbage`,
+	} {
+		tr, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Body.Close()
+		if tr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %q = %d, want 400", body, tr.StatusCode)
+		}
+	}
+
 	// Invalid spec → 400.
 	if resp, _ := postJob(t, srv.URL, "", JobSpec{K: 1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-guides spec = %d, want 400", resp.StatusCode)

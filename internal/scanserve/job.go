@@ -33,6 +33,9 @@ const (
 	StateCancelled State = "cancelled"
 )
 
+// states lists every State, for validating persisted records.
+var states = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
+
 // Terminal reports whether the state ends the job's lifecycle.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
 
 	"github.com/cap-repro/crisprscan"
 	"github.com/cap-repro/crisprscan/internal/checkpoint"
@@ -14,8 +15,11 @@ import (
 // genome through the resident cache, open (or resume) the job's
 // checkpoint journal, and stream the scan chromosome by chromosome
 // through the journal's exactly-once output — which flushes and fsyncs
-// the rows before each chromosome is committed, so a crash at any
-// instant resumes to byte-identical output.
+// the rows before it group-commits the chromosomes completed since its
+// last commit, so a crash at any instant resumes to byte-identical
+// output. Every exit, including drain, deadline and cancel, commits
+// what completed, and the attempt span's "commits" attribute counts
+// the durable commits.
 func (s *Service) scanAttempt(ctx context.Context, job *Job, rec *metrics.Recorder, prog *metrics.Progress) error {
 	guides := job.Spec.guides()
 	params := job.Spec.params()
@@ -76,15 +80,20 @@ func (s *Service) scanAttempt(ctx context.Context, job *Job, rec *metrics.Record
 		return fmt.Errorf("scanserve: job %s: %w", job.ID, err)
 	}
 	ctrl := &crisprscan.StreamControl{SkipChrom: j.Done, ChromDone: out.Commit}
-	if _, err := crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, ctrl, func(site crisprscan.Site) error {
+	_, err = crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, ctrl, func(site crisprscan.Site) error {
 		return writeSite(out, site)
-	}); err != nil {
+	})
+	// Commit what completed on every exit, failed or not: a drained,
+	// timed-out or retried attempt resumes past it. Rows flushed past
+	// the last entry belong to an unfinished chromosome and are cut on
+	// resume.
+	ferr := out.Flush()
+	metrics.SpanFromContext(ctx).SetAttr("commits", strconv.Itoa(out.Commits()))
+	if err != nil {
 		return err
 	}
-	// ChromDone flushed and synced after the last chromosome; nothing is
-	// buffered here unless the genome had zero unskipped chromosomes.
-	if err := out.Flush(); err != nil {
-		return fmt.Errorf("scanserve: job %s: %w", job.ID, err)
+	if ferr != nil {
+		return fmt.Errorf("scanserve: job %s: %w", job.ID, ferr)
 	}
 	if _, err := s.store.update(job.ID, func(rec *Job) { rec.Sites = j.Sites() }); err != nil {
 		return fmt.Errorf("scanserve: recording site count for job %s: %w", job.ID, err)

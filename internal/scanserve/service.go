@@ -532,8 +532,9 @@ func (s *Service) Drain(window time.Duration) int {
 		t.Stop()
 	case <-t.C:
 		// Window expired: cancel the stragglers. Their scans stop at the
-		// next chunk boundary, the completed chromosomes are already
-		// journaled, and the workers re-queue them for resume.
+		// next chunk boundary, each attempt's exit commits the
+		// chromosomes it completed to the journal, and the workers
+		// re-queue the jobs for resume.
 		s.mu.Lock()
 		for id, rj := range s.running {
 			s.log.Warn("drain window expired; checkpointing job", "job", id)

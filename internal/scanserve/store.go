@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +35,9 @@ const jobRecordName = "job.json"
 // openStore loads (or initializes) the job directory. Jobs found in the
 // running state are crash artifacts — the process died with them
 // dispatched — and are re-queued so the service resumes them; their
-// checkpoint journal turns the re-run into a resume.
+// checkpoint journal turns the re-run into a resume. A record that is
+// corrupt, in an unknown state or with a negative count fails the load,
+// naming the job.
 func openStore(dir string) (s *store, recovered []string, err error) {
 	if dir == "" {
 		return nil, nil, fmt.Errorf("scanserve: job directory not configured")
@@ -69,6 +72,14 @@ func openStore(dir string) (s *store, recovered []string, err error) {
 		}
 		if j.ID != e.Name() {
 			return nil, nil, fmt.Errorf("scanserve: job record in %s claims ID %q", e.Name(), j.ID)
+		}
+		// A state outside the machine would be neither queued nor
+		// terminal: its client would poll forever.
+		if !slices.Contains(states, j.State) {
+			return nil, nil, fmt.Errorf("scanserve: job record %s has unknown state %q", e.Name(), j.State)
+		}
+		if j.Attempts < 0 || j.Retries < 0 || j.Sites < 0 {
+			return nil, nil, fmt.Errorf("scanserve: job record %s has a negative attempt, retry or site count", e.Name())
 		}
 		if j.State == StateRunning {
 			j.State = StateQueued

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -291,6 +292,58 @@ func TestTracedScanSpanTree(t *testing.T) {
 	cache2 := findSpans(tree2.Root, "cache-load")
 	if len(cache2) != 1 || cache2[0].Attrs["cache"] != "hit" {
 		t.Fatalf("second job's cache-load = %+v, want a hit annotation", cache2)
+	}
+}
+
+// TestAttemptSpanCountsCommits: a job over 32 contigs that finishes
+// well inside the one-second group-commit budget journals every contig
+// with at most two durable commits (the first contig, then the rest at
+// the end), and its attempt span on /debug/trace says how many.
+func TestAttemptSpanCountsCommits(t *testing.T) {
+	genomePath, spec := scanFixtureOf(t, 32, 2000, 4)
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, DefaultGenome: genomePath, QuotaRate: -1, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain(10 * time.Second)
+	debug := httptest.NewServer(s.TraceHandler())
+	defer debug.Close()
+
+	job, err := s.SubmitTraced("", spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, s, job.ID); final.State != StateDone {
+		t.Fatalf("job = %s (err %q), want done", final.State, final.Error)
+	}
+	resp, err := http.Get(debug.URL + "/debug/trace/" + job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tree metrics.SpanTree
+	if err := json.NewDecoder(resp.Body).Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	attempts := findSpans(tree.Root, "attempt ")
+	if len(attempts) != 1 {
+		t.Fatalf("found %d attempt spans, want 1", len(attempts))
+	}
+	if scans := findSpans(attempts[0], "scan "); len(scans) != 32 {
+		t.Fatalf("found %d per-contig scan spans, want 32", len(scans))
+	}
+	commits, err := strconv.Atoi(attempts[0].Attrs["commits"])
+	if err != nil {
+		t.Fatalf("attempt span commits attribute: %v", err)
+	}
+	// Each full second of scanning may add one budget commit.
+	if limit := 2 + int(attempts[0].DurNs/int64(time.Second)); commits < 1 || commits > limit {
+		t.Fatalf("attempt made %d durable commits in %.3fs, want 1..%d", commits, float64(attempts[0].DurNs)/1e9, limit)
+	}
+	if doc := readJournal(t, filepath.Join(dir, job.ID, "scan.ckpt")); len(doc.Entries) != 32 {
+		t.Fatalf("journal lists %d contigs, want 32", len(doc.Entries))
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/cap-repro/crisprscan/internal/checkpoint"
 	"github.com/cap-repro/crisprscan/internal/fasta"
+	"github.com/cap-repro/crisprscan/internal/metrics"
 )
 
 // streamFixture builds a multi-chromosome genome, samples guides with
@@ -88,6 +90,92 @@ func TestSearchStreamCheckpointResumeByteIdentical(t *testing.T) {
 	if resumeStats.BytesScanned >= wantStats.BytesScanned {
 		t.Fatalf("resume scanned %d bases, full run %d — journaled chromosome was re-scanned",
 			resumeStats.BytesScanned, wantStats.BytesScanned)
+	}
+}
+
+// TestSearchStreamCheckpointCancelCommitsPending: under the default
+// one-second group-commit budget, a scan cancelled from ChromDone after
+// chromosome 3 of 6 has made only chromosome 1 durable when the cancel
+// lands. The exit-path commit journals chromosomes 2 and 3, so the
+// resume scans only the last three chromosomes' bases and the output is
+// byte-identical to an uninterrupted run.
+func TestSearchStreamCheckpointCancelCommitsPending(t *testing.T) {
+	g := SynthesizeGenome(SynthConfig{Seed: 703, ChromLen: 20000, NumChroms: 6})
+	guides, err := SampleGuides(g, 3, 20, "NGG", 704)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fa bytes.Buffer
+	w := fasta.NewWriter(&fa, 0)
+	for _, rec := range g.ToFasta() {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	blob := fa.Bytes()
+	params := Params{MaxMismatches: 3}
+	dir := t.TempDir()
+
+	var want bytes.Buffer
+	if _, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides,
+		params, nil, filepath.Join(dir, "full.ckpt"), &want, false); err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := filepath.Join(dir, "cancelled.ckpt")
+	fp := FingerprintParams(guides, params)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got bytes.Buffer
+	sw := metrics.NewStopwatch()
+	var elapsed float64
+	done, durable := 0, -1
+	_, err = SearchStreamCheckpoint(ctx, bytes.NewReader(blob), guides, params,
+		&StreamControl{ChromDone: func(string, int, int64) error {
+			if done++; done == 3 {
+				elapsed = sw.Seconds()
+				j, err := checkpoint.Open(ckpt, fp)
+				if err != nil {
+					return err
+				}
+				durable = j.Chroms()
+				cancel()
+			}
+			return nil
+		}}, ckpt, &got, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: want wrapped context.Canceled, got %v", err)
+	}
+	// The stopwatch started before the first commit, so under a second
+	// here means the budget held chromosomes 2 and 3 back.
+	if elapsed < 1 && durable != 1 {
+		t.Fatalf("%d chromosomes durable when the cancel landed %.3fs in, want 1 (the rest wait for the next group commit)", durable, elapsed)
+	}
+	j, err := checkpoint.Open(ckpt, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Chroms() != 3 {
+		t.Fatalf("journal lists %d chromosomes after the cancel, want 3", j.Chroms())
+	}
+
+	resumed, err := SearchStreamCheckpoint(context.Background(), bytes.NewReader(blob), guides,
+		params, nil, ckpt, &got, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("resumed output differs from uninterrupted run: %d vs %d bytes", got.Len(), want.Len())
+	}
+	rest := 0
+	for _, c := range g.Chroms[3:] {
+		rest += len(c.Seq)
+	}
+	if resumed.BytesScanned != rest {
+		t.Fatalf("resume scanned %d bases, want the last three chromosomes' %d", resumed.BytesScanned, rest)
 	}
 }
 
