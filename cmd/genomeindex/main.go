@@ -84,13 +84,8 @@ func runBuild(args []string, stdout io.Writer) error {
 	if err := ix.WriteFile(*outPath); err != nil {
 		return err
 	}
-	var keys, postings int
-	for i := range ix.Chroms {
-		keys += ix.Chroms[i].Keys()
-		postings += ix.Chroms[i].Postings()
-	}
 	fmt.Fprintf(stdout, "wrote %s: %d chromosomes, %d bp, seed length %d, %d keys, %d postings\n",
-		*outPath, len(ix.Chroms), g.TotalLen(), ix.SeedLen, keys, postings)
+		*outPath, len(ix.Chroms), g.TotalLen(), ix.SeedLen, ix.Keys(), ix.Postings())
 	return nil
 }
 
@@ -138,11 +133,12 @@ func runInspect(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "seed length\t%d\nchromosomes\t%d\n", ix.SeedLen, len(ix.Chroms))
-	fmt.Fprintln(stdout, "name\tlength\tkeys\tpostings\tsha256")
+	fmt.Fprintf(stdout, "seed length\t%d\nchromosomes\t%d\nkeys\t%d\npostings\t%d\n",
+		ix.SeedLen, len(ix.Chroms), ix.Keys(), ix.Postings())
+	fmt.Fprintln(stdout, "name\tlength\tsha256")
 	for i := range ix.Chroms {
 		c := &ix.Chroms[i]
-		fmt.Fprintf(stdout, "%s\t%d\t%d\t%d\t%x\n", c.Name, c.SeqLen, c.Keys(), c.Postings(), c.SeqSHA[:8])
+		fmt.Fprintf(stdout, "%s\t%d\t%x\n", c.Name, c.SeqLen, c.SeqSHA[:8])
 	}
 	return nil
 }

@@ -121,3 +121,15 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("help: %v", err)
 	}
 }
+
+// TestBuildRejectsLongSeed: the direct-address seed table holds 4^L+1
+// starts, so -seed-len stops at 12, and the error names the range.
+func TestBuildRejectsLongSeed(t *testing.T) {
+	dir := t.TempDir()
+	ref := writeFixture(t, dir, 11)
+	var out bytes.Buffer
+	err := run([]string{"build", "-genome", ref, "-o", filepath.Join(dir, "ref.csix"), "-seed-len", "13"}, &out, &out)
+	if err == nil || !strings.Contains(err.Error(), "4..12") {
+		t.Fatalf("build -seed-len 13: error %v, want one naming 4..12", err)
+	}
+}

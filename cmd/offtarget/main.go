@@ -220,7 +220,24 @@ func run(ctx context.Context, cfg *config) (err error) {
 			return fmt.Errorf("-checkpoint requires -o")
 		}
 	}
-	logger := cfg.logger().With("engine", cfg.engineName, "k", cfg.k, "pam", cfg.pam)
+	// A prebuilt index forces the seed-index engine: the point of -index
+	// is to skip the genome sweep, and silently scanning with another
+	// engine would ignore the file the user handed us. The engine is
+	// resolved once, here, so the log, /debug/scans and /metrics name
+	// the engine that runs.
+	engine := crisprscan.Engine(cfg.engineName)
+	if cfg.indexPath != "" {
+		if cfg.bulge > 0 {
+			return fmt.Errorf("-index does not support -bulge")
+		}
+		switch engine {
+		case "", crisprscan.EngineSeedIndex, crisprscan.EngineHyperscan: // explicit or the flag default
+			engine = crisprscan.EngineSeedIndex
+		default:
+			return fmt.Errorf("-index requires the seed-index engine, not -engine %s", cfg.engineName)
+		}
+	}
+	logger := cfg.logger().With("engine", string(engine), "k", cfg.k, "pam", cfg.pam)
 	guides, err := loadGuides(cfg.guidesPath, cfg.guideSeq)
 	if err != nil {
 		return err
@@ -292,23 +309,8 @@ func run(ctx context.Context, cfg *config) (err error) {
 	// "load" span) rather than left out of -stats and /metrics.
 	params := crisprscan.Params{
 		MaxMismatches: cfg.k, PAM: cfg.pam, AltPAMs: alts, Region: cfg.region, PlusStrandOnly: cfg.plusOnly,
-		Engine: crisprscan.Engine(cfg.engineName), Workers: cfg.workers,
+		Engine: engine, Workers: cfg.workers,
 		Metrics: crisprscan.NewMetricsRecorder(),
-	}
-
-	// A prebuilt index forces the seed-index engine: the point of -index
-	// is to skip the genome sweep, and silently scanning with another
-	// engine would ignore the file the user handed us.
-	if cfg.indexPath != "" {
-		if cfg.bulge > 0 {
-			return fmt.Errorf("-index does not support -bulge")
-		}
-		switch params.Engine {
-		case "", crisprscan.EngineSeedIndex, crisprscan.EngineHyperscan: // explicit or the flag default
-			params.Engine = crisprscan.EngineSeedIndex
-		default:
-			return fmt.Errorf("-index requires the seed-index engine, not -engine %s", cfg.engineName)
-		}
 	}
 
 	if cfg.tracePath != "" {
@@ -364,7 +366,7 @@ func run(ctx context.Context, cfg *config) (err error) {
 		}
 		params.Progress = prog
 		finishScan := cfg.reg.begin(&scanState{
-			Engine: cfg.engineName, K: cfg.k, PAM: cfg.pam, Genome: cfg.genomePath,
+			Engine: string(engine), K: cfg.k, PAM: cfg.pam, Genome: cfg.genomePath,
 			rec: params.Metrics, prog: prog,
 		})
 		defer func() {

@@ -210,7 +210,7 @@ func ReadGenome(r io.Reader) (*Genome, error) {
 }
 
 // SeedIndex is a persistent genome seed index: the packed 2-bit
-// sequence plus a k-mer seed table with per-seed posting lists, built
+// sequence plus one genome-wide k-mer table with per-seed posting lists, built
 // once offline and shared across every scan of that reference (the
 // index-once, query-millions shape). Build with BuildSeedIndex or the
 // genomeindex CLI, persist with WriteFile, reload with LoadSeedIndex,
@@ -222,7 +222,8 @@ func ReadGenome(r io.Reader) (*Genome, error) {
 type SeedIndex = seedindex.Index
 
 // BuildSeedIndex constructs the seed index for a loaded genome.
-// seedLen 0 selects the default seed width.
+// seedLen 0 selects the default seed width; widths run 4..12, and the
+// genome may total at most 2^32-1 bases.
 func BuildSeedIndex(g *Genome, seedLen int) (*SeedIndex, error) {
 	return seedindex.Build(g, seedLen)
 }

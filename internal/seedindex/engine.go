@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
@@ -53,8 +53,8 @@ type specPlan struct {
 // Engine is the seed-index scanner. It runs in one of two modes sharing
 // the identical query path: bound to a persistent Index (built offline,
 // shared across scans — the index-once-query-millions shape), or
-// self-indexing, building a transient per-chromosome table inside the
-// scan so the engine can serve the ordinary Search API with no file —
+// self-indexing, building a transient table of the one chromosome inside
+// the scan so the engine can serve the ordinary Search API with no file —
 // which is how the cross-engine parity matrix and differential fuzzing
 // exercise the exact same probe/verify code the persistent path uses.
 type Engine struct {
@@ -98,8 +98,8 @@ func New(specs []arch.PatternSpec, idx *Index, opt Options) (*Engine, error) {
 			e.seedLen = e.spacerLen
 		}
 	}
-	if e.seedLen < MinSeedLen || e.seedLen > MaxSeedLen {
-		return nil, fmt.Errorf("seedindex: seed length %d out of range %d..%d", e.seedLen, MinSeedLen, MaxSeedLen)
+	if err := checkSeedLen(e.seedLen); err != nil {
+		return nil, err
 	}
 	variantCap := opt.MaxFragmentVariants
 	if variantCap == 0 {
@@ -211,7 +211,7 @@ func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emi
 	if len(seq) < e.site {
 		return nil
 	}
-	tbl, err := e.tableFor(c)
+	tbl, lo, err := e.tableFor(c)
 	if err != nil {
 		return err
 	}
@@ -232,19 +232,10 @@ func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emi
 		}
 		scratch = scratch[:0]
 		for fi := range plan.frags {
-			fr := &plan.frags[fi]
-			for _, vk := range fr.variants {
-				for _, seedPos := range tbl.lookup(vk) {
-					p := int(seedPos) - fr.off
-					if p < 0 || p+e.site > len(seq) {
-						continue
-					}
-					probes++
-					scratch = append(scratch, int32(p))
-				}
-			}
+			scratch = e.probe(tbl, &plan.frags[fi], lo, len(seq), scratch)
 		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+		probes += int64(len(scratch))
+		slices.Sort(scratch)
 		for i, p := range scratch {
 			if i > 0 && scratch[i-1] == p {
 				continue
@@ -311,34 +302,62 @@ func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emi
 	return nil
 }
 
-// tableFor resolves the seed table for a chromosome: the persistent
-// index's section (failing closed if the chromosome is missing or its
-// length or content hash disagrees — a stale or foreign index must
-// never scan), or a
-// transient table built on the spot in self-indexing mode. When every
-// plan is a fallback sweep no table is needed at all.
-func (e *Engine) tableFor(c *genome.Chromosome) (*seedTable, error) {
+// probe appends to scratch the start of every window of an n-base
+// chromosome at genome offset lo that one of fr's variants seeds. A
+// key's posting list spans the whole genome, so two binary searches cut
+// it to this chromosome first.
+//
+//crisprlint:hotpath
+func (e *Engine) probe(tbl *seedTable, fr *fragPlan, lo uint32, n int, scratch []int32) []int32 {
+	hi := lo + uint32(n)
+	off, site := fr.off, e.site
+	for _, vk := range fr.variants {
+		list := tbl.lookup(vk)
+		a, _ := slices.BinarySearch(list, lo)
+		b, _ := slices.BinarySearch(list, hi)
+		for _, gp := range list[a:b] {
+			p := int(gp-lo) - off
+			if p < 0 || p+site > n {
+				continue
+			}
+			//crisprlint:allow hotpath the scratch buffer is reused across fragments and specs of a scan, so it grows only to the largest candidate count
+			scratch = append(scratch, int32(p))
+		}
+	}
+	return scratch
+}
+
+// tableFor resolves the seed table for a chromosome and the genome
+// offset of its base 0. Bound to a persistent index it fails closed if
+// the chromosome is missing or its length or content hash disagrees —
+// a stale or foreign index must never scan. The SHA-256 recheck is
+// skipped only when the chromosome carries the index's own packed
+// planes (from ix.Genome(), or the genome Build was given): those are
+// the CRC-checked or freshly packed bytes the index describes. Any
+// other sequence, such as one read from -genome, is hashed. In
+// self-indexing mode it builds a transient table on the spot; when
+// every plan is a fallback sweep no table is needed at all.
+func (e *Engine) tableFor(c *genome.Chromosome) (*seedTable, uint32, error) {
 	if e.idx != nil {
 		ci := e.idx.chrom(c.Name)
 		if ci == nil {
-			return nil, fmt.Errorf("%w: chromosome %q not in index", ErrStale, c.Name)
+			return nil, 0, fmt.Errorf("%w: chromosome %q not in index", ErrStale, c.Name)
 		}
 		if ci.SeqLen != len(c.Seq) {
-			return nil, fmt.Errorf("%w: chromosome %q is %d bases in the index, %d in the genome", ErrStale, c.Name, ci.SeqLen, len(c.Seq))
+			return nil, 0, fmt.Errorf("%w: chromosome %q is %d bases in the index, %d in the genome", ErrStale, c.Name, ci.SeqLen, len(c.Seq))
 		}
 		// Content hash too: a same-shape edit must fail closed here, not
 		// silently drop the candidates the stale table no longer lists.
-		// One SHA-256 pass per chromosome is noise next to the scan.
-		if seqSHA(c.Seq) != ci.SeqSHA {
-			return nil, fmt.Errorf("%w: chromosome %q content differs from the indexed reference", ErrStale, c.Name)
+		if c.Packed != ci.Packed && seqSHA(c.Seq) != ci.SeqSHA {
+			return nil, 0, fmt.Errorf("%w: chromosome %q content differs from the indexed reference", ErrStale, c.Name)
 		}
-		return &ci.table, nil
+		return &e.idx.table, ci.off, nil
 	}
 	if !e.anyProbed {
-		return &seedTable{}, nil
+		return nil, 0, nil
 	}
-	t := buildTable(c.Seq, e.seedLen)
-	return &t, nil
+	t := buildTable([]dna.Seq{c.Seq}, e.seedLen)
+	return &t, 0, nil
 }
 
 // verifyPos applies the full exact-match semantics shared by every

@@ -6,40 +6,53 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
+	"unsafe"
 
 	"github.com/cap-repro/crisprscan/internal/checkpoint"
 	"github.com/cap-repro/crisprscan/internal/dna"
 )
 
-// On-disk layout (all integers little-endian):
+// On-disk layout, version 2 (all integers little-endian):
 //
 //	header (28 bytes):
 //	  [0:4)   magic "CSIX"
 //	  [4:8)   format version (uint32)
-//	  [8:12)  seed length (uint32)
+//	  [8:12)  seed length L (uint32)
 //	  [12:16) chromosome count (uint32)
-//	  [16:24) TOC byte length (uint64)
+//	  [16:24) TOC byte length (uint64, a multiple of 8)
 //	  [24:28) CRC-32C of header bytes [0:24)
-//	TOC (tocLen bytes, one record per chromosome, in genome order):
-//	  nameLen uint32, name [nameLen]byte
-//	  seqLen uint64, seqSHA [32]byte
-//	  seqOff uint64, seqSize uint64, seqCRC uint32
-//	  seedOff uint64, seedSize uint64, seedCRC uint32
-//	TOC CRC-32C (4 bytes)
-//	sections (absolute offsets recorded in the TOC):
-//	  sequence section: packed code words then ambiguity words, both
-//	    []uint64; counts derive from seqLen ((n+31)/32 and (n+63)/64)
-//	  seed section: keyCount uint32, keys [keyCount]uint32,
-//	    starts [keyCount+1]uint32, postings [starts[keyCount]]uint32
+//	TOC (tocLen bytes):
+//	  per chromosome, in genome order:
+//	    nameLen uint32, name [nameLen]byte,
+//	    seqLen uint64, seqSHA [32]byte, planesCRC uint32
+//	  postingCount uint64, startsCRC uint32, postingsCRC uint32
+//	  zero padding to a multiple of 8 bytes
+//	TOC CRC-32C over the tocLen bytes (4 bytes)
+//	section area (byte 32+tocLen to the end of the file), every section
+//	8-byte aligned and sized from the TOC alone:
+//	  per chromosome: packed code words [(n+31)/32]uint64, then
+//	    ambiguity words [(n+63)/64]uint64
+//	  starts [4^L+1]uint32, zero-padded to 8 bytes
+//	  postings [postingCount]uint32 (genome-wide positions), zero-padded
+//	    to 8 bytes
 //
-// Every section carries its own CRC so corruption localizes; the header
-// and TOC CRCs make truncation and bit rot in the metadata fail closed
-// before any section is trusted.
+// Every section carries its own CRC (covering its padding) so
+// corruption localizes; the header and TOC CRCs make bit rot in the
+// metadata fail closed before any section is trusted, and a file that
+// is not exactly as long as its TOC says is corrupt.
 const (
 	formatMagic   = "CSIX"
-	formatVersion = 1
+	formatVersion = 2
 	headerSize    = 28
+)
+
+// TOC geometry: the fixed bytes of one chromosome record and the
+// genome-wide tail.
+const (
+	tocRecordSize = 4 + 8 + 32 + 4
+	tocTailSize   = 8 + 4 + 4
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
@@ -62,84 +75,85 @@ var (
 	ErrStale = errors.New("seedindex: index does not match genome")
 )
 
+func align8(n int) int { return (n + 7) &^ 7 }
+
+// planesSize is the byte size of an n-base chromosome's packed planes.
+func planesSize(n int) int { return 8 * ((n+31)/32 + (n+63)/64) }
+
 // Encode serializes the index to its on-disk byte form. The encoding is
 // fully deterministic — no timestamps, map iteration, or padding
 // garbage — so two builds of the same genome are byte-identical (the
 // build-determinism test pins this).
 func (ix *Index) Encode() []byte {
-	// Section payloads first, so the TOC can carry real offsets.
-	seqSecs := make([][]byte, len(ix.Chroms))
-	seedSecs := make([][]byte, len(ix.Chroms))
-	tocSize := 0
-	sectionsSize := 0
+	t := &ix.table
+	tocLen := tocTailSize
+	areaSize := align8(4*len(t.starts)) + align8(4*len(t.postings))
 	for i := range ix.Chroms {
-		c := &ix.Chroms[i]
-		seqSecs[i] = encodeSeqSection(c.Packed)
-		seedSecs[i] = encodeSeedSection(&c.table)
-		tocSize += 4 + len(c.Name) + 8 + 32 + (8+8+4)*2
-		sectionsSize += len(seqSecs[i]) + len(seedSecs[i])
+		tocLen += tocRecordSize + len(ix.Chroms[i].Name)
+		areaSize += planesSize(ix.Chroms[i].SeqLen)
 	}
-	buf := make([]byte, 0, headerSize+tocSize+4+sectionsSize)
+	tocLen = align8(tocLen)
+	areaOff := headerSize + tocLen + 4
+	buf := make([]byte, areaOff+areaSize)
+
+	// Sections first, so the TOC can carry their checksums. The buffer
+	// starts zeroed, which is the padding.
+	off := areaOff
+	planeCRCs := make([]uint32, len(ix.Chroms))
+	for i := range ix.Chroms {
+		words, amb := ix.Chroms[i].Packed.Words()
+		end := putUint64s(buf, putUint64s(buf, off, words), amb)
+		planeCRCs[i] = crc32.Checksum(buf[off:end], crcTable)
+		off = end
+	}
+	startsEnd := align8(putUint32s(buf, off, t.starts))
+	startsCRC := crc32.Checksum(buf[off:startsEnd], crcTable)
+	postingsCRC := crc32.Checksum(buf[startsEnd:align8(putUint32s(buf, startsEnd, t.postings))], crcTable)
 
 	// Header.
-	buf = append(buf, formatMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.SeedLen))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.Chroms)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(tocSize))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	h := append(buf[:0], formatMagic...)
+	h = binary.LittleEndian.AppendUint32(h, formatVersion)
+	h = binary.LittleEndian.AppendUint32(h, uint32(ix.SeedLen))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(ix.Chroms)))
+	h = binary.LittleEndian.AppendUint64(h, uint64(tocLen))
+	binary.LittleEndian.AppendUint32(h, crc32.Checksum(h, crcTable))
 
-	// TOC.
-	off := uint64(headerSize + tocSize + 4)
-	tocStart := len(buf)
+	// TOC, then its checksum over the padded length.
+	toc := buf[headerSize:headerSize]
 	for i := range ix.Chroms {
 		c := &ix.Chroms[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Name)))
-		buf = append(buf, c.Name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.SeqLen))
-		buf = append(buf, c.SeqSHA[:]...)
-		for _, sec := range [][]byte{seqSecs[i], seedSecs[i]} {
-			buf = binary.LittleEndian.AppendUint64(buf, off)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sec)))
-			buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(sec, crcTable))
-			off += uint64(len(sec))
-		}
+		toc = binary.LittleEndian.AppendUint32(toc, uint32(len(c.Name)))
+		toc = append(toc, c.Name...)
+		toc = binary.LittleEndian.AppendUint64(toc, uint64(c.SeqLen))
+		toc = append(toc, c.SeqSHA[:]...)
+		toc = binary.LittleEndian.AppendUint32(toc, planeCRCs[i])
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[tocStart:], crcTable))
-
-	// Sections.
-	for i := range ix.Chroms {
-		buf = append(buf, seqSecs[i]...)
-		buf = append(buf, seedSecs[i]...)
-	}
+	toc = binary.LittleEndian.AppendUint64(toc, uint64(len(t.postings)))
+	toc = binary.LittleEndian.AppendUint32(toc, startsCRC)
+	binary.LittleEndian.AppendUint32(toc, postingsCRC)
+	toc = buf[headerSize : headerSize+tocLen]
+	binary.LittleEndian.PutUint32(buf[headerSize+tocLen:], crc32.Checksum(toc, crcTable))
 	return buf
 }
 
-func encodeSeqSection(p *dna.Packed) []byte {
-	words, amb := p.Words()
-	buf := make([]byte, 0, 8*(len(words)+len(amb)))
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+// putUint64s writes ws little-endian at buf[off:] and returns the
+// offset past them.
+func putUint64s(buf []byte, off int, ws []uint64) int {
+	for _, w := range ws {
+		binary.LittleEndian.PutUint64(buf[off:], w)
+		off += 8
 	}
-	for _, w := range amb {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
+	return off
 }
 
-func encodeSeedSection(t *seedTable) []byte {
-	buf := make([]byte, 0, 4*(1+len(t.keys)+len(t.starts)+len(t.postings)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.keys)))
-	for _, k := range t.keys {
-		buf = binary.LittleEndian.AppendUint32(buf, k)
+// putUint32s writes ws little-endian at buf[off:] and returns the
+// offset past them.
+func putUint32s(buf []byte, off int, ws []uint32) int {
+	for _, w := range ws {
+		binary.LittleEndian.PutUint32(buf[off:], w)
+		off += 4
 	}
-	for _, s := range t.starts {
-		buf = binary.LittleEndian.AppendUint32(buf, s)
-	}
-	for _, p := range t.postings {
-		buf = binary.LittleEndian.AppendUint32(buf, p)
-	}
-	return buf
+	return off
 }
 
 // WriteFile encodes the index and writes it crash-safely (temp file,
@@ -152,32 +166,59 @@ func (ix *Index) WriteFile(path string) error {
 	return nil
 }
 
-// readAt fetches exactly n bytes at off, mapping short reads to
+// readFull fills buf from offset off, mapping a short read to
 // ErrCorrupt (a truncated file) while preserving the underlying error
 // chain for classification.
-func readAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
+func readFull(r io.ReaderAt, buf []byte, off int64) error {
 	got, err := r.ReadAt(buf, off)
-	if got == n {
-		return buf, nil
+	if got == len(buf) {
+		return nil
 	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("%w: truncated at offset %d (wanted %d bytes, file ends after %d)", ErrCorrupt, off, n, got)
+		return fmt.Errorf("%w: truncated at offset %d (wanted %d bytes, file ends after %d)", ErrCorrupt, off, len(buf), got)
 	}
 	if err == nil {
 		err = io.ErrUnexpectedEOF
 	}
-	return nil, fmt.Errorf("seedindex: read %d bytes at offset %d: %w", n, off, err)
+	return fmt.Errorf("seedindex: read %d bytes at offset %d: %w", len(buf), off, err)
 }
 
-// Read decodes an index from any io.ReaderAt (a file, an mmap window, a
-// byte slice wrapped in bytes.NewReader). Every structural field is
-// bounds-checked and every section checksum verified before the data is
-// trusted: a damaged file fails closed here, never as silently wrong
-// scan output.
+// checkSize proves the file holds at least end bytes (exactly end when
+// exact is set) by reading its last byte (and one past it), so that a
+// size field is checked against the file before anything is allocated
+// for it.
+func checkSize(r io.ReaderAt, end int64, exact bool) error {
+	var b [2]byte
+	want := 1
+	if exact {
+		want = 2
+	}
+	got, err := r.ReadAt(b[:want], end-1)
+	eof := err == io.EOF || err == io.ErrUnexpectedEOF
+	switch {
+	case got == 0 && eof:
+		return fmt.Errorf("%w: file ends before byte %d its geometry requires", ErrCorrupt, end)
+	case got == 2:
+		return fmt.Errorf("%w: trailing bytes after byte %d", ErrCorrupt, end)
+	case got == 1 && (want == 1 || eof):
+		return nil
+	}
+	if err == nil {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("seedindex: read %d bytes at offset %d: %w", want, end-1, err)
+}
+
+// Read decodes an index from any io.ReaderAt (a file, or a byte slice
+// wrapped in bytes.NewReader) in three reads: the header, the TOC, and
+// the whole section area into one buffer. A probe of the file's extent
+// (checkSize) precedes each allocation, every checksum is verified once,
+// and the seed table's structure is validated in one pass; the
+// sections are then viewed in place. A damaged file fails closed here,
+// never as silently wrong scan output.
 func Read(r io.ReaderAt) (*Index, error) {
-	hdr, err := readAt(r, 0, headerSize)
-	if err != nil {
+	var hdr [headerSize]byte
+	if err := readFull(r, hdr[:], 0); err != nil {
 		return nil, err
 	}
 	if string(hdr[0:4]) != formatMagic {
@@ -190,25 +231,31 @@ func Read(r io.ReaderAt) (*Index, error) {
 		return nil, fmt.Errorf("%w: file version %d, this build reads version %d", ErrVersion, v, formatVersion)
 	}
 	seedLen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	chromCount := int(binary.LittleEndian.Uint32(hdr[12:16]))
+	chromCount := uint64(binary.LittleEndian.Uint32(hdr[12:16]))
 	tocLen := binary.LittleEndian.Uint64(hdr[16:24])
-	if seedLen < MinSeedLen || seedLen > MaxSeedLen {
-		return nil, fmt.Errorf("%w: seed length %d out of range %d..%d", ErrCorrupt, seedLen, MinSeedLen, MaxSeedLen)
+	if err := checkSeedLen(seedLen); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if tocLen > 1<<30 || chromCount > 1<<20 {
+	if tocLen%8 != 0 || tocLen < tocTailSize || tocLen > 1<<40 || chromCount > (tocLen-tocTailSize)/tocRecordSize {
 		return nil, fmt.Errorf("%w: implausible TOC geometry (%d chromosomes, %d TOC bytes)", ErrCorrupt, chromCount, tocLen)
 	}
-	toc, err := readAt(r, headerSize, int(tocLen)+4)
-	if err != nil {
+	areaOff := headerSize + int64(tocLen) + 4
+	if err := checkSize(r, areaOff, false); err != nil {
+		return nil, err
+	}
+	toc := make([]byte, tocLen+4)
+	if err := readFull(r, toc, headerSize); err != nil {
 		return nil, err
 	}
 	if crc32.Checksum(toc[:tocLen], crcTable) != binary.LittleEndian.Uint32(toc[tocLen:]) {
 		return nil, fmt.Errorf("%w: TOC checksum mismatch", ErrCorrupt)
 	}
 
-	ix := &Index{SeedLen: seedLen, byName: make(map[string]int, chromCount)}
+	ix := &Index{SeedLen: seedLen, Chroms: make([]ChromIndex, 0, chromCount), byName: make(map[string]int, chromCount)}
 	d := tocDecoder{buf: toc[:tocLen]}
-	for i := 0; i < chromCount; i++ {
+	planeCRCs := make([]uint32, 0, chromCount)
+	var total uint64
+	for i := uint64(0); i < chromCount; i++ {
 		nameLen := d.u32()
 		if nameLen > 1<<16 {
 			return nil, fmt.Errorf("%w: chromosome %d name length %d implausible", ErrCorrupt, i, nameLen)
@@ -217,55 +264,188 @@ func Read(r io.ReaderAt) (*Index, error) {
 		seqLen := d.u64()
 		var sha [32]byte
 		copy(sha[:], d.bytes(32))
-		seqOff, seqSize, seqCRC := d.u64(), d.u64(), d.u32()
-		seedOff, seedSize, seedCRC := d.u64(), d.u64(), d.u32()
+		planeCRCs = append(planeCRCs, d.u32())
 		if d.err {
 			return nil, fmt.Errorf("%w: TOC ends mid-record (chromosome %d)", ErrCorrupt, i)
-		}
-		if seqLen > 1<<40 || seqSize > 1<<40 || seedSize > 1<<40 {
-			return nil, fmt.Errorf("%w: chromosome %q implausible section geometry", ErrCorrupt, name)
 		}
 		if _, dup := ix.byName[name]; dup {
 			return nil, fmt.Errorf("%w: duplicate chromosome %q", ErrCorrupt, name)
 		}
-
-		seqSec, err := readAt(r, int64(seqOff), int(seqSize))
-		if err != nil {
-			return nil, fmt.Errorf("seedindex: chromosome %q sequence section: %w", name, err)
+		if seqLen > MaxGenomeLen || checkGenomeLen(total+seqLen) != nil {
+			return nil, fmt.Errorf("%w: chromosomes through %q exceed %d bases", ErrCorrupt, name, uint64(MaxGenomeLen))
 		}
-		if crc32.Checksum(seqSec, crcTable) != seqCRC {
-			return nil, fmt.Errorf("%w: chromosome %q sequence section checksum mismatch", ErrCorrupt, name)
-		}
-		packed, err := decodeSeqSection(seqSec, int(seqLen))
-		if err != nil {
-			return nil, fmt.Errorf("seedindex: chromosome %q: %w", name, err)
-		}
-
-		seedSec, err := readAt(r, int64(seedOff), int(seedSize))
-		if err != nil {
-			return nil, fmt.Errorf("seedindex: chromosome %q seed section: %w", name, err)
-		}
-		if crc32.Checksum(seedSec, crcTable) != seedCRC {
-			return nil, fmt.Errorf("%w: chromosome %q seed section checksum mismatch", ErrCorrupt, name)
-		}
-		table, err := decodeSeedSection(seedSec, int(seqLen), seedLen)
-		if err != nil {
-			return nil, fmt.Errorf("seedindex: chromosome %q: %w", name, err)
-		}
-
 		ix.byName[name] = len(ix.Chroms)
-		ix.Chroms = append(ix.Chroms, ChromIndex{
-			Name:   name,
-			SeqLen: int(seqLen),
-			SeqSHA: sha,
-			Packed: packed,
-			table:  table,
-		})
+		ix.Chroms = append(ix.Chroms, ChromIndex{Name: name, SeqLen: int(seqLen), SeqSHA: sha, off: uint32(total)})
+		total += seqLen
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing TOC bytes", ErrCorrupt, len(d.buf)-d.off)
+	postingCount := d.u64()
+	startsCRC, postingsCRC := d.u32(), d.u32()
+	if d.err {
+		return nil, fmt.Errorf("%w: TOC ends before its seed-table record", ErrCorrupt)
+	}
+	if pad := d.buf[d.off:]; len(pad) >= 8 || !allZero(pad) {
+		return nil, fmt.Errorf("%w: %d trailing TOC bytes", ErrCorrupt, len(pad))
+	}
+	if postingCount > total {
+		return nil, fmt.Errorf("%w: %d postings for a %d-base genome", ErrCorrupt, postingCount, total)
+	}
+
+	// Size the section area from the TOC, prove the file is exactly that
+	// long, then read it whole. The buffer is []uint64 so every section
+	// view is aligned.
+	keys := 1 << (2 * uint(seedLen))
+	startsSize, postingsSize := align8(4*(keys+1)), align8(4*int(postingCount))
+	areaSize := startsSize + postingsSize
+	for i := range ix.Chroms {
+		areaSize += planesSize(ix.Chroms[i].SeqLen)
+	}
+	if err := checkSize(r, areaOff+int64(areaSize), true); err != nil {
+		return nil, err
+	}
+	area := make([]uint64, areaSize/8)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(area))), areaSize)
+	if err := readFull(r, raw, areaOff); err != nil {
+		return nil, err
+	}
+
+	// Cut the area into its sections in file order: check each CRC,
+	// then view the words in place.
+	next := 0 // word offset of the next section
+	take := func(size int, crc uint32) (int, bool) {
+		w := next
+		next += size / 8
+		return w, crc32.Checksum(raw[8*w:8*next], crcTable) == crc
+	}
+	for i := range ix.Chroms {
+		c := &ix.Chroms[i]
+		wc, ac := (c.SeqLen+31)/32, (c.SeqLen+63)/64
+		w, ok := take(planesSize(c.SeqLen), planeCRCs[i])
+		if !ok {
+			return nil, fmt.Errorf("%w: chromosome %q sequence section checksum mismatch", ErrCorrupt, c.Name)
+		}
+		var err error
+		if c.Packed, err = dna.FromWords(view64(area, w, wc), view64(area, w+wc, ac), c.SeqLen); err != nil {
+			return nil, fmt.Errorf("%w: chromosome %q: %v", ErrCorrupt, c.Name, err)
+		}
+	}
+	// The uint32 sections end in zero padding; the CRCs cover it, and
+	// requiring it zero keeps the encoding canonical.
+	words32 := func(n, size int, crc uint32, what string) ([]uint32, error) {
+		w, ok := take(size, crc)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
+		}
+		if !allZero(raw[8*w+4*n : 8*next]) {
+			return nil, fmt.Errorf("%w: %s padding is not zero", ErrCorrupt, what)
+		}
+		return view32(area, w, n), nil
+	}
+	var err error
+	if ix.table.starts, err = words32(keys+1, startsSize, startsCRC, "seed starts section"); err != nil {
+		return nil, err
+	}
+	if ix.table.postings, err = words32(int(postingCount), postingsSize, postingsCRC, "seed postings section"); err != nil {
+		return nil, err
+	}
+	maxStart := int64(total) - int64(seedLen)
+	if !ix.table.valid(maxStart) {
+		return nil, fmt.Errorf("%w: seed table malformed (starts not monotone to %d, or a posting list not ascending inside the genome)", ErrCorrupt, postingCount)
 	}
 	return ix, nil
+}
+
+// valid checks the table's structure: starts run monotone from 0 to
+// len(postings), and every posting list ascends strictly with every
+// seed starting at or before maxStart. Looping per list would
+// mispredict the loop exit once per key, so it makes branch-free passes
+// instead, each comparison a wrapped difference whose bit 63 flags a
+// violation. A descent (p[i] <= p[i-1]) is legal only where a list
+// starts, so the descents counted at list starts must equal those
+// counted over the whole array. A list's largest entry is its last,
+// just before the next list's start, so that is where the limit is
+// checked.
+//
+//crisprlint:hotpath
+func (t *seedTable) valid(maxStart int64) bool {
+	starts, postings := t.starts, t.postings
+	n := len(postings)
+	if len(starts) == 0 || starts[0] != 0 || int(starts[len(starts)-1]) != n {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	if maxStart < 0 {
+		return false
+	}
+	var acc uint64
+	prev := uint32(0)
+	for _, s := range starts {
+		acc |= uint64(s) - uint64(prev)
+		prev = s
+	}
+	if acc>>63 != 0 {
+		return false
+	}
+	// Starts are monotone and end at n, so every start indexes postings.
+	limit := uint64(maxStart)
+	var descents uint64
+	lo := uint32(0)
+	for _, hi := range starts[1:] {
+		if hi != lo && lo != 0 {
+			descents -= (uint64(postings[lo]) - uint64(postings[lo-1]) - 1) >> 63
+			acc |= limit - uint64(postings[lo-1])
+		}
+		lo = hi
+	}
+	acc |= limit - uint64(postings[n-1])
+	for i := 1; i < n; i++ {
+		descents += (uint64(postings[i]) - uint64(postings[i-1]) - 1) >> 63
+	}
+	return acc>>63 == 0 && descents == 0
+}
+
+// littleEndian reports whether this host stores integers in the file's
+// byte order: there sections are viewed in place, elsewhere decoded
+// into byte-swapped copies.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// view64 returns the n uint64s that start at word w of area.
+func view64(area []uint64, w, n int) []uint64 {
+	s := area[w : w+n : w+n]
+	if littleEndian {
+		return s
+	}
+	out := make([]uint64, n)
+	for i, v := range s {
+		out[i] = bits.ReverseBytes64(v)
+	}
+	return out
+}
+
+// view32 returns the n uint32s that start at word w of area.
+func view32(area []uint64, w, n int) []uint32 {
+	if n == 0 {
+		return nil
+	}
+	s := unsafe.Slice((*uint32)(unsafe.Pointer(&area[w])), n)
+	if littleEndian {
+		return s
+	}
+	out := make([]uint32, n)
+	for i, v := range s {
+		out[i] = bits.ReverseBytes32(v)
+	}
+	return out
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Load opens and decodes an index file.
@@ -291,8 +471,9 @@ type tocDecoder struct {
 }
 
 func (d *tocDecoder) bytes(n int) []byte {
-	if d.off+n > len(d.buf) {
+	if n > len(d.buf)-d.off {
 		d.err = true
+		d.off = len(d.buf)
 		return make([]byte, n)
 	}
 	b := d.buf[d.off : d.off+n]
@@ -306,78 +487,4 @@ func (d *tocDecoder) u32() uint32 {
 
 func (d *tocDecoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(d.bytes(8))
-}
-
-func decodeSeqSection(sec []byte, seqLen int) (*dna.Packed, error) {
-	wordCount := (seqLen + 31) / 32
-	ambCount := (seqLen + 63) / 64
-	if len(sec) != 8*(wordCount+ambCount) {
-		return nil, fmt.Errorf("%w: sequence section is %d bytes, %d bases need %d", ErrCorrupt, len(sec), seqLen, 8*(wordCount+ambCount))
-	}
-	words := make([]uint64, wordCount)
-	amb := make([]uint64, ambCount)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(sec[8*i:])
-	}
-	for i := range amb {
-		amb[i] = binary.LittleEndian.Uint64(sec[8*(wordCount+i):])
-	}
-	p, err := dna.FromWords(words, amb, seqLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return p, nil
-}
-
-func decodeSeedSection(sec []byte, seqLen, seedLen int) (seedTable, error) {
-	var t seedTable
-	if len(sec) < 4 {
-		return t, fmt.Errorf("%w: seed section shorter than its key count", ErrCorrupt)
-	}
-	keyCount := int(binary.LittleEndian.Uint32(sec))
-	want := 4 * (1 + keyCount + keyCount + 1)
-	if keyCount > 1<<30 || len(sec) < want {
-		return t, fmt.Errorf("%w: seed section is %d bytes, %d keys need at least %d", ErrCorrupt, len(sec), keyCount, want)
-	}
-	u32s := func(off, n int) []uint32 {
-		out := make([]uint32, n)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(sec[off+4*i:])
-		}
-		return out
-	}
-	t.keys = u32s(4, keyCount)
-	t.starts = u32s(4+4*keyCount, keyCount+1)
-	postingCount := int(t.starts[keyCount])
-	if len(sec) != want+4*postingCount {
-		return t, fmt.Errorf("%w: seed section is %d bytes, geometry demands %d", ErrCorrupt, len(sec), want+4*postingCount)
-	}
-	t.postings = u32s(want, postingCount)
-
-	// Structural invariants: keys strictly ascending, starts
-	// non-decreasing from 0, postings in range and ascending per key. A
-	// table violating them would break the binary search silently.
-	keyLimit := uint64(1) << (2 * uint(seedLen))
-	for i, k := range t.keys {
-		if uint64(k) >= keyLimit || (i > 0 && t.keys[i-1] >= k) {
-			return t, fmt.Errorf("%w: seed keys not strictly ascending in range", ErrCorrupt)
-		}
-	}
-	if t.starts[0] != 0 {
-		return t, fmt.Errorf("%w: seed starts do not begin at 0", ErrCorrupt)
-	}
-	for i := 1; i <= keyCount; i++ {
-		if t.starts[i] < t.starts[i-1] {
-			return t, fmt.Errorf("%w: seed starts decrease", ErrCorrupt)
-		}
-	}
-	maxStart := seqLen - seedLen
-	for i := 0; i < keyCount; i++ {
-		for j := int(t.starts[i]); j < int(t.starts[i+1]); j++ {
-			if int(t.postings[j]) > maxStart || (j > int(t.starts[i]) && t.postings[j-1] >= t.postings[j]) {
-				return t, fmt.Errorf("%w: posting list for key %d malformed", ErrCorrupt, i)
-			}
-		}
-	}
-	return t, nil
 }

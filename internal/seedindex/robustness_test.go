@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -24,10 +25,13 @@ import (
 // (retrying cannot fix the file); injected I/O faults keep whatever
 // classification the underlying error carries.
 
+// buildEncoded indexes a small genome at the shortest seed length, so the
+// direct-address table (4^L+1 starts) stays small enough for the
+// byte-by-byte sweeps below.
 func buildEncoded(t *testing.T) (*seedindex.Index, []byte, *genome.Genome) {
 	t.Helper()
 	g := genome.Synthesize(genome.SynthConfig{Seed: 9, NumChroms: 2, ChromLen: 700, NRunRate: 50, NRunLen: 20})
-	ix, err := seedindex.Build(g, 0)
+	ix, err := seedindex.Build(g, seedindex.MinSeedLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +84,24 @@ func TestSectionBitFlipIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestVersionSkewFailsClosed covers a future version and version 1,
+// whose header layout v2 kept, so a v1 file is refused by its version.
 func TestVersionSkewFailsClosed(t *testing.T) {
 	_, enc, _ := buildEncoded(t)
-	mut := append([]byte(nil), enc...)
-	// Bump the version field and re-seal the header checksum so the
-	// failure is attributed to the version, not to corruption.
-	binary.LittleEndian.PutUint32(mut[4:8], 99)
-	crc := crc32.Checksum(mut[:24], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(mut[24:28], crc)
-	_, err := seedindex.Read(bytes.NewReader(mut))
-	if !errors.Is(err, seedindex.ErrVersion) {
-		t.Fatalf("version skew error %v, want ErrVersion", err)
-	}
-	if scanserve.Classify(err) != scanserve.ClassPermanent {
-		t.Fatalf("version skew classified %v, want Permanent", scanserve.Classify(err))
+	for _, version := range []uint32{1, 99} {
+		mut := append([]byte(nil), enc...)
+		// Set the version field and re-seal the header checksum so the
+		// failure is attributed to the version, not to corruption.
+		binary.LittleEndian.PutUint32(mut[4:8], version)
+		crc := crc32.Checksum(mut[:24], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(mut[24:28], crc)
+		_, err := seedindex.Read(bytes.NewReader(mut))
+		if !errors.Is(err, seedindex.ErrVersion) {
+			t.Fatalf("version %d skew error %v, want ErrVersion", version, err)
+		}
+		if scanserve.Classify(err) != scanserve.ClassPermanent {
+			t.Fatalf("version %d skew classified %v, want Permanent", version, scanserve.Classify(err))
+		}
 	}
 }
 
@@ -145,6 +153,50 @@ func TestStaleIndexFailsClosed(t *testing.T) {
 	scanErr = e.ScanChrom(&drifted.Chroms[0], drop)
 	if !errors.Is(scanErr, seedindex.ErrStale) {
 		t.Fatalf("content-drift scan error %v, want ErrStale", scanErr)
+	}
+}
+
+// TestScanOverOwnGenomeSkipsRehash: a scan over ix.Genome() carries the
+// index's own CRC-checked planes, so it allocates no sequence-sized
+// buffer for a SHA-256 recheck; the same bases in another genome are
+// hashed, and a same-shape edit still fails closed.
+func TestScanOverOwnGenomeSkipsRehash(t *testing.T) {
+	const n = 1 << 20
+	g := genome.Synthesize(genome.SynthConfig{Seed: 5, NumChroms: 1, ChromLen: n, NRunRate: 40, NRunLen: 30})
+	built, err := seedindex.Build(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := seedindex.Read(bytes.NewReader(built.Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(t, ix)
+	drop := func(automata.Report) {}
+	scanBytes := func(c *genome.Chromosome) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		testing.AllocsPerRun(4, func() {
+			if err := e.ScanChrom(c, drop); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 5 // AllocsPerRun adds a warm-up run
+	}
+	own := ix.Genome()
+	if got := scanBytes(&own.Chroms[0]); got >= n/2 {
+		t.Errorf("scan over ix.Genome() allocated %d bytes per run, a sequence-sized buffer for %d bases", got, n)
+	}
+	other := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: own.Chroms[0].Seq})
+	if got := scanBytes(&other.Chroms[0]); got < n {
+		t.Errorf("scan over a copy allocated %d bytes per run; the recheck's %d-byte buffer is missing, so this test cannot see a rehash", got, n)
+	}
+	edited := append(dna.Seq(nil), own.Chroms[0].Seq...)
+	edited[n/2] ^= 1
+	drifted := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: edited})
+	if err := e.ScanChrom(&drifted.Chroms[0], drop); !errors.Is(err, seedindex.ErrStale) {
+		t.Fatalf("content-drift scan error %v, want ErrStale", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package seedindex implements the index-once, query-millions path: a
-// persistent, versioned genome seed index (packed 2-bit sequence plus a
-// k-mer seed table with per-seed posting lists) and the pigeonhole query
-// engine that consumes it.
+// persistent, versioned genome seed index (packed 2-bit sequence plus
+// one genome-wide direct-address k-mer table with per-seed posting
+// lists) and the pigeonhole query engine that consumes it.
 //
 // The index inverts the cost model of every full-scan engine. Building
 // is O(genome) and happens once, offline (cmd/genomeindex); a query for
@@ -29,7 +29,6 @@ package seedindex
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
@@ -41,16 +40,21 @@ import (
 // two fragments and radius floor(k/2) stays enumerable for k ≤ 5.
 const DefaultSeedLen = 10
 
-// Seed-length bounds: a key must pack into a uint32 (2 bits per base),
-// and seeds shorter than 4 would make posting lists uselessly dense.
+// Seed-length bounds: seeds shorter than 4 would make posting lists
+// uselessly dense, and the direct-address table holds 4^L+1 uint32
+// starts, so L = 12 already costs 64 MiB.
 const (
 	MinSeedLen = 4
-	MaxSeedLen = 15
+	MaxSeedLen = 12
 )
 
+// MaxGenomeLen bounds the indexed genome's total length: postings are
+// uint32 genome-wide positions. hg38's 3.1 Gbp fits.
+const MaxGenomeLen = 1<<32 - 1
+
 // Index is a loaded (or freshly built) genome seed index: per
-// chromosome, the packed 2-bit sequence and the sorted k-mer seed table.
-// It is immutable after construction and safe to share across
+// chromosome, the packed 2-bit sequence, plus one genome-wide seed
+// table. It is immutable after construction and safe to share across
 // concurrent scans — the scanserve genome cache keeps one per reference.
 type Index struct {
 	// SeedLen is the k-mer width of the seed table.
@@ -58,6 +62,7 @@ type Index struct {
 	// Chroms holds the per-chromosome sections in genome order.
 	Chroms []ChromIndex
 
+	table  seedTable
 	byName map[string]int
 }
 
@@ -75,72 +80,85 @@ type ChromIndex struct {
 	// Packed is the 2-bit packed sequence with ambiguity bitmap.
 	Packed *dna.Packed
 
-	table seedTable
+	off uint32 // genome-wide position of base 0
 }
 
-// seedTable is the per-chromosome seed lookup structure: sorted unique
-// k-mer keys, a starts array of len(keys)+1, and the concatenated
-// posting lists (ascending seed start positions per key). The flat
-// layout serializes directly and binary-searches without pointer
-// chasing.
+// seedTable is the seed lookup structure shared by Build, Read and the
+// self-indexing mode: a direct-address starts array of 4^L+1 entries
+// and the postings array of seed start positions (genome-wide, each
+// sequence following the previous one), ascending within each key. A
+// key's postings are postings[starts[key]:starts[key+1]].
 type seedTable struct {
-	keys     []uint32
 	starts   []uint32
 	postings []uint32
 }
 
-// lookup returns the posting list (seed start positions) for key, or
-// nil if the k-mer does not occur.
+// lookup returns the posting list (seed start positions) for key.
 func (t *seedTable) lookup(key uint32) []uint32 {
-	i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= key })
-	if i == len(t.keys) || t.keys[i] != key {
-		return nil
-	}
-	return t.postings[t.starts[i]:t.starts[i+1]]
+	return t.postings[t.starts[key]:t.starts[key+1]]
 }
 
-// buildTable indexes every fully concrete seedLen-mer of seq by start
-// position. K-mers touching an ambiguous base are skipped — sound,
-// because engines never report windows containing ambiguous bases, so
-// every reportable window's seed fragments are concrete and indexed.
-// Output is deterministic: keys ascending, postings ascending per key.
-func buildTable(seq dna.Seq, seedLen int) seedTable {
-	type kv struct{ key, pos uint32 }
-	var pairs []kv
-	if len(seq) >= seedLen {
-		pairs = make([]kv, 0, len(seq)-seedLen+1)
-	}
-	var key uint32
-	mask := uint32(1)<<(2*uint(seedLen)) - 1
-	valid := 0 // trailing concrete bases accumulated
-	for i, b := range seq {
-		if b > dna.T {
-			valid = 0
-			continue
-		}
-		key = (key<<2 | uint32(b)) & mask
-		valid++
-		if valid >= seedLen {
-			pairs = append(pairs, kv{key: key, pos: uint32(i - seedLen + 1)})
+// buildTable indexes every fully concrete seedLen-mer of seqs by its
+// genome-wide start, with a two-pass counting sort: count each key,
+// prefix-sum the counts into starts, then place each position at its
+// key's cursor. Positions are placed in ascending order, so every
+// posting list comes out sorted. K-mers touching an ambiguous base are
+// skipped — sound, because engines never report windows containing
+// ambiguous bases, so every reportable window's seed fragments are
+// concrete and indexed — and no k-mer spans two sequences.
+func buildTable(seqs []dna.Seq, seedLen int) seedTable {
+	keys := 1 << (2 * uint(seedLen))
+	starts := make([]uint32, keys+1)
+	for _, seq := range seqs {
+		r := newRoller(seedLen)
+		for _, b := range seq {
+			if r.push(b) {
+				starts[r.key+1]++
+			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].key != pairs[j].key {
-			return pairs[i].key < pairs[j].key
-		}
-		return pairs[i].pos < pairs[j].pos
-	})
-	var t seedTable
-	t.starts = append(t.starts, 0)
-	for _, p := range pairs {
-		if len(t.keys) == 0 || t.keys[len(t.keys)-1] != p.key {
-			t.keys = append(t.keys, p.key)
-			t.starts = append(t.starts, uint32(len(t.postings)))
-		}
-		t.postings = append(t.postings, p.pos)
-		t.starts[len(t.starts)-1] = uint32(len(t.postings))
+	for k := 1; k <= keys; k++ {
+		starts[k] += starts[k-1]
 	}
-	return t
+	postings := make([]uint32, starts[keys])
+	off := uint32(0)
+	for _, seq := range seqs {
+		r := newRoller(seedLen)
+		for i, b := range seq {
+			if r.push(b) {
+				postings[starts[r.key]] = off + uint32(i+1-seedLen)
+				starts[r.key]++
+			}
+		}
+		off += uint32(len(seq))
+	}
+	// Placing advanced each cursor to its key's end, which is the next
+	// key's start: shift back by one.
+	copy(starts[1:], starts[:keys])
+	starts[0] = 0
+	return seedTable{starts: starts, postings: postings}
+}
+
+// roller maintains the 2-bit key of the last seedLen bases.
+type roller struct {
+	key, mask uint32
+	valid     int // trailing concrete bases accumulated
+	seedLen   int
+}
+
+func newRoller(seedLen int) roller {
+	return roller{mask: uint32(1)<<(2*uint(seedLen)) - 1, seedLen: seedLen}
+}
+
+// push shifts b in and reports whether key now holds a concrete seed.
+func (r *roller) push(b dna.Base) bool {
+	if b > dna.T {
+		r.valid = 0
+		return false
+	}
+	r.key = (r.key<<2 | uint32(b)) & r.mask
+	r.valid++
+	return r.valid >= r.seedLen
 }
 
 // seqSHA canonicalizes and hashes a base-code sequence.
@@ -152,9 +170,26 @@ func seqSHA(seq dna.Seq) [32]byte {
 	return sha256.Sum256(buf)
 }
 
+// checkSeedLen rejects a seed length outside MinSeedLen..MaxSeedLen.
+func checkSeedLen(seedLen int) error {
+	if seedLen < MinSeedLen || seedLen > MaxSeedLen {
+		return fmt.Errorf("seedindex: seed length %d out of range %d..%d", seedLen, MinSeedLen, MaxSeedLen)
+	}
+	return nil
+}
+
+// checkGenomeLen rejects a genome whose total length overflows the
+// uint32 postings.
+func checkGenomeLen(total uint64) error {
+	if total > MaxGenomeLen {
+		return fmt.Errorf("seedindex: genome of %d bases exceeds the index limit of %d (2^32-1)", total, uint64(MaxGenomeLen))
+	}
+	return nil
+}
+
 // Build constructs the full index for a genome. The result is
 // deterministic: two builds of the same genome are byte-identical once
-// encoded (no timestamps, sorted seed keys, genome-order chromosomes).
+// encoded (no timestamps, genome-order chromosomes and postings).
 func Build(g *genome.Genome, seedLen int) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("seedindex: nil genome")
@@ -162,10 +197,19 @@ func Build(g *genome.Genome, seedLen int) (*Index, error) {
 	if seedLen == 0 {
 		seedLen = DefaultSeedLen
 	}
-	if seedLen < MinSeedLen || seedLen > MaxSeedLen {
-		return nil, fmt.Errorf("seedindex: seed length %d out of range %d..%d", seedLen, MinSeedLen, MaxSeedLen)
+	if err := checkSeedLen(seedLen); err != nil {
+		return nil, err
+	}
+	var total uint64
+	for i := range g.Chroms {
+		total += uint64(len(g.Chroms[i].Seq))
+	}
+	if err := checkGenomeLen(total); err != nil {
+		return nil, err
 	}
 	ix := &Index{SeedLen: seedLen, byName: make(map[string]int, len(g.Chroms))}
+	seqs := make([]dna.Seq, len(g.Chroms))
+	off := uint32(0)
 	for i := range g.Chroms {
 		c := &g.Chroms[i]
 		if _, dup := ix.byName[c.Name]; dup {
@@ -181,9 +225,12 @@ func Build(g *genome.Genome, seedLen int) (*Index, error) {
 			SeqLen: len(c.Seq),
 			SeqSHA: seqSHA(c.Seq),
 			Packed: packed,
-			table:  buildTable(c.Seq, seedLen),
+			off:    off,
 		})
+		seqs[i] = c.Seq
+		off += uint32(len(c.Seq))
 	}
+	ix.table = buildTable(seqs, seedLen)
 	return ix, nil
 }
 
@@ -196,11 +243,20 @@ func (ix *Index) chrom(name string) *ChromIndex {
 	return &ix.Chroms[i]
 }
 
-// Keys returns the number of distinct seed keys in the section.
-func (c *ChromIndex) Keys() int { return len(c.table.keys) }
+// Keys returns the number of distinct seed keys in the table.
+func (ix *Index) Keys() int {
+	n := 0
+	for k := 1; k < len(ix.table.starts); k++ {
+		if ix.table.starts[k] != ix.table.starts[k-1] {
+			n++
+		}
+	}
+	return n
+}
 
-// Postings returns the total posting-list length of the section.
-func (c *ChromIndex) Postings() int { return len(c.table.postings) }
+// Postings returns the total posting-list length of the table: the
+// number of concrete seeds in the genome.
+func (ix *Index) Postings() int { return len(ix.table.postings) }
 
 // ValidateGenome checks that the index exactly describes g: same
 // chromosomes in the same order, same lengths, same content hashes. A
@@ -232,7 +288,9 @@ func (ix *Index) ValidateGenome(g *genome.Genome) error {
 // Genome materializes the reference the index was built from: the index
 // is self-contained, so a scan can run without the original FASTA.
 // Ambiguous positions come back as the canonical N — exactly how the
-// FASTA parser canonicalizes them, so scan output is identical.
+// FASTA parser canonicalizes them, so scan output is identical. Each
+// chromosome shares the index's own packed planes, which is how the
+// engine knows it needs no content-hash recheck.
 func (ix *Index) Genome() *genome.Genome {
 	chroms := make([]genome.Chromosome, len(ix.Chroms))
 	for i := range ix.Chroms {

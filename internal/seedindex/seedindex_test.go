@@ -2,6 +2,8 @@ package seedindex
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -227,7 +229,7 @@ func TestValidateGenomeDetectsDrift(t *testing.T) {
 // ambiguity gap.
 func TestTableLookup(t *testing.T) {
 	seq, _ := dna.ParseSeq("ACGTACGTNNACGTACGT")
-	tbl := buildTable(seq, 4)
+	tbl := buildTable([]dna.Seq{seq}, 4)
 	key, ok := dna.KmerOf(dna.MustParseSeq("ACGT"))
 	if !ok {
 		t.Fatal("kmer not concrete")
@@ -250,7 +252,9 @@ func TestTableLookup(t *testing.T) {
 			}
 		}
 	}
-	if tbl.lookup(0xFFFF) != nil {
+	// TTTT: the direct-address table spans every 4-mer key, so an
+	// absent key is in range and its list is empty.
+	if len(tbl.lookup(0xFF)) != 0 {
 		t.Fatal("absent key returned postings")
 	}
 }
@@ -323,5 +327,63 @@ func TestEnumerateFragment(t *testing.T) {
 	}
 	if _, ok := enumerateFragment(frag, 2, 10); ok {
 		t.Fatal("cap not enforced")
+	}
+}
+
+// TestSeedLenLimit: the direct-address table holds 4^L+1 starts, so a
+// seed longer than 12 fails at build, naming the range.
+func TestSeedLenLimit(t *testing.T) {
+	g := genome.Synthesize(genome.SynthConfig{Seed: 3, NumChroms: 1, ChromLen: 500})
+	for _, seedLen := range []int{MinSeedLen - 1, MaxSeedLen + 1} {
+		_, err := Build(g, seedLen)
+		if err == nil || !strings.Contains(err.Error(), "4..12") {
+			t.Errorf("Build(g, %d) error %v, want one naming 4..12", seedLen, err)
+		}
+	}
+}
+
+// TestGenomeLenLimit pins the uint32-postings bound on its check:
+// 2^32-1 bases pass, one more fails naming the limit. Build and Read
+// both apply it, so neither needs a 4 Gbp genome to test.
+func TestGenomeLenLimit(t *testing.T) {
+	if err := checkGenomeLen(MaxGenomeLen); err != nil {
+		t.Fatalf("2^32-1 bases rejected: %v", err)
+	}
+	err := checkGenomeLen(MaxGenomeLen + 1)
+	if err == nil || !strings.Contains(err.Error(), "2^32-1") {
+		t.Fatalf("2^32 bases: error %v, want one naming 2^32-1", err)
+	}
+}
+
+// TestTableValidation drives the load-time structure check over a
+// built table and over each kind of damage to it.
+func TestTableValidation(t *testing.T) {
+	withN, _ := dna.ParseSeq("ACGTNACGTTTTACG")
+	seqs := []dna.Seq{dna.MustParseSeq("ACGTACGTACGAACGT"), withN}
+	total := int64(len(seqs[0]) + len(seqs[1]))
+	build := func() seedTable { return buildTable(seqs, 4) }
+	acgt := 0x1B // ACGT as a 2-bit key
+	if tbl := build(); fmt.Sprint(tbl.lookup(uint32(acgt))) != "[0 4 12 16 21]" {
+		t.Fatalf("ACGT postings %v, want genome-wide positions [0 4 12 16 21]", tbl.lookup(uint32(acgt)))
+	}
+	if tbl := build(); !tbl.valid(total - 4) {
+		t.Fatal("built table fails validation")
+	}
+	if tbl := (seedTable{starts: make([]uint32, 257)}); !tbl.valid(-1) {
+		t.Fatal("empty table fails validation")
+	}
+	for name, damage := range map[string]func(*seedTable) (maxStart int64){
+		"posting past the genome":    func(tb *seedTable) int64 { return int64(tb.postings[len(tb.postings)-1]) - 1 },
+		"list out of order":          func(tb *seedTable) int64 { l := tb.lookup(uint32(acgt)); l[1], l[2] = l[2], l[1]; return total - 4 },
+		"list repeats a position":    func(tb *seedTable) int64 { l := tb.lookup(uint32(acgt)); l[1] = l[0]; return total - 4 },
+		"starts not monotone":        func(tb *seedTable) int64 { tb.starts[acgt+1] = tb.starts[acgt] - 1; return total - 4 },
+		"starts do not begin at 0":   func(tb *seedTable) int64 { tb.starts[0] = 1; return total - 4 },
+		"starts end short":           func(tb *seedTable) int64 { tb.starts[256]--; return total - 4 },
+		"postings in a short genome": func(tb *seedTable) int64 { return -1 },
+	} {
+		tbl := build()
+		if maxStart := damage(&tbl); tbl.valid(maxStart) {
+			t.Errorf("%s: damaged table passes validation", name)
+		}
 	}
 }
