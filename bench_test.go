@@ -11,6 +11,7 @@ package crisprscan
 // paper-sized sweeps.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -101,7 +102,7 @@ func scanBench(b *testing.B, w *bench.Workload, e arch.Engine) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci := range w.Genome.Chroms {
-			if err := e.ScanChrom(&w.Genome.Chroms[ci], func(automata.Report) {}); err != nil {
+			if err := e.ScanChrom(context.Background(), &w.Genome.Chroms[ci], func(automata.Report) {}); err != nil {
 				b.Fatal(err)
 			}
 		}

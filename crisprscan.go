@@ -12,7 +12,12 @@
 // (Micron AP, FPGA overlay, iNFAnt2-style GPU). Every engine that
 // accepts the guides returns the identical site set; they differ only
 // in performance. Cas-OFFinder refuses partially degenerate spacer
-// positions and spacers over 32 nt.
+// positions and spacers over 32 nt. Every engine also honors
+// cancellation the same way: the ctx-taking searches stop within one
+// 64 Ki-position chunk of a cancel or deadline, on any engine.
+//
+// Params, Result and BulgeParams are the orchestrator's own types under
+// public names, so their fields are documented in one place.
 //
 // Quick start:
 //
@@ -139,63 +144,13 @@ type Guide struct {
 	Spacer string
 }
 
-// Params configures Search. The zero value searches both strands for
-// NGG sites with zero mismatches on the default CPU engine.
-type Params struct {
-	// MaxMismatches is the protospacer Hamming budget (paper: 1-5).
-	MaxMismatches int
-	// PAM is the IUPAC PAM pattern (default "NGG"; "NRG" and "NAG" are
-	// common alternatives).
-	PAM string
-	// AltPAMs lists additional accepted PAMs of the same length, so one
-	// search can cover NGG and NAG sites simultaneously.
-	AltPAMs []string
-	// PAM5 selects Cas12a/Cpf1 geometry: the PAM sits 5' of the spacer
-	// (e.g. PAM "TTTV"). Default is Cas9's 3' PAM.
-	PAM5 bool
-	// Region restricts the search to "chrom" or "chrom:start-end"
-	// (0-based half-open); positions stay in chromosome coordinates.
-	Region string
-	// PlusStrandOnly disables minus-strand search.
-	PlusStrandOnly bool
-	// Engine selects the platform (default EngineHyperscan).
-	Engine Engine
-	// Workers widens data-parallel engines (default 1).
-	Workers int
-	// SeedLen and MaxSeedMismatches enable CasOT's seed-region
-	// constraint (both zero = unconstrained; then all engines agree).
-	SeedLen           int
-	MaxSeedMismatches int
-	// MergeStates and Stride2 toggle the spatial-platform optimizations
-	// the paper proposes.
-	MergeStates bool
-	Stride2     bool
-	// SeedIndex, when non-nil, binds EngineSeedIndex to a persistent
-	// genome index (BuildSeedIndex / LoadSeedIndex) so a scan touches
-	// only candidate loci. The index must describe the genome being
-	// scanned — validate with (*SeedIndex).ValidateGenome after loading
-	// from disk; a mismatched chromosome fails the scan closed. Other
-	// engines ignore the field.
-	SeedIndex *SeedIndex
-	// Metrics, when non-nil, is the recorder this search reports into —
-	// supply one to attach a Tracer or to aggregate several searches.
-	// When nil a private recorder is created; either way the result's
-	// Stats.Metrics carries the final snapshot.
-	Metrics *MetricsRecorder
-	// Progress, when non-nil, is advanced live as the search runs:
-	// per-chunk byte counts from the worker pools, chromosome
-	// completion from the orchestrator. In-memory searches set the
-	// exact total-bytes denominator; streaming callers should supply an
-	// estimate (e.g. the FASTA file size) via SetTotalBytes. Nil
-	// disables tracking at the cost of one nil check per chunk.
-	Progress *ProgressTracker
-}
+// Params configures a search. The zero value searches both strands
+// for NGG sites with zero mismatches on the default CPU engine; see the
+// fields' documentation in the core package.
+type Params = core.Params
 
 // Result is a completed search: verified sites plus execution stats.
-type Result struct {
-	Sites []Site
-	Stats Stats
-}
+type Result = core.Result
 
 // LoadGenome reads a (multi-)FASTA reference genome from a file.
 func LoadGenome(path string) (*Genome, error) { return genome.LoadFasta(path) }
@@ -281,27 +236,6 @@ func parseGuides(guides []Guide) ([]dna.Pattern, error) {
 	return pats, nil
 }
 
-// coreParams converts the public Params to the orchestrator's form.
-func coreParams(p Params) core.Params {
-	return core.Params{
-		MaxMismatches:     p.MaxMismatches,
-		PAM:               p.PAM,
-		AltPAMs:           p.AltPAMs,
-		PAM5:              p.PAM5,
-		Region:            p.Region,
-		PlusStrandOnly:    p.PlusStrandOnly,
-		Engine:            p.Engine,
-		Workers:           p.Workers,
-		SeedLen:           p.SeedLen,
-		MaxSeedMismatches: p.MaxSeedMismatches,
-		MergeStates:       p.MergeStates,
-		Stride2:           p.Stride2,
-		SeedIndex:         p.SeedIndex,
-		Metrics:           p.Metrics,
-		Progress:          p.Progress,
-	}
-}
-
 // Search finds every genomic site matching any guide within the
 // mismatch budget, PAM-adjacent, on the selected engine. Sites are
 // verified against the sequence, deduplicated and sorted.
@@ -310,9 +244,9 @@ func Search(g *Genome, guides []Guide, p Params) (*Result, error) {
 }
 
 // SearchContext is Search bounded by ctx: the scan honors cancellation
-// and deadlines between chromosomes, and — on the data-parallel CPU
-// engines — at chunk granularity inside a chromosome, so even a
-// single-chromosome multi-gigabase scan aborts promptly. On
+// and deadlines between chromosomes, and, on every engine, at chunk
+// granularity inside a chromosome, so even a single-chromosome
+// multi-gigabase scan aborts promptly. On
 // cancellation the returned Result is non-nil and holds the sites and
 // stats accumulated before the abort, and the error wraps
 // context.Canceled or context.DeadlineExceeded (test with errors.Is).
@@ -321,24 +255,12 @@ func SearchContext(ctx context.Context, g *Genome, guides []Guide, p Params) (*R
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.SearchContext(ctx, g, pats, coreParams(p))
-	if res == nil {
-		return nil, err
-	}
-	return &Result{Sites: res.Sites, Stats: res.Stats}, err
+	return core.SearchContext(ctx, g, pats, p)
 }
 
-// BulgeParams configures SearchBulge.
-type BulgeParams struct {
-	// MaxMismatches is the substitution budget.
-	MaxMismatches int
-	// MaxBulge is the combined budget for DNA bulges (extra genome
-	// bases) and RNA bulges (skipped spacer positions), interior only.
-	MaxBulge int
-	// PAM defaults to NGG.
-	PAM            string
-	PlusStrandOnly bool
-}
+// BulgeParams configures SearchBulge; see the fields' documentation in
+// the core package.
+type BulgeParams = core.BulgeParams
 
 // SearchBulge finds bulge-tolerant off-target sites using the
 // edit-distance automata (the paper's extension experiment). It always
@@ -348,12 +270,7 @@ func SearchBulge(g *Genome, guides []Guide, p BulgeParams) ([]BulgeSite, error) 
 	if err != nil {
 		return nil, err
 	}
-	return core.SearchBulge(g, pats, core.BulgeParams{
-		MaxMismatches:  p.MaxMismatches,
-		MaxBulge:       p.MaxBulge,
-		PAM:            p.PAM,
-		PlusStrandOnly: p.PlusStrandOnly,
-	})
+	return core.SearchBulge(g, pats, p)
 }
 
 // WriteSitesTSV writes sites in a Cas-OFFinder-like TSV layout.
@@ -399,8 +316,7 @@ func SearchStreamContext(ctx context.Context, r io.Reader, guides []Guide, p Par
 	if err != nil {
 		return nil, err
 	}
-	p.Region = "" // regions apply to in-memory search only
-	return core.SearchStreamContext(ctx, r, pats, coreParams(p), ctrl, yield)
+	return core.SearchStreamContext(ctx, r, pats, p, ctrl, yield)
 }
 
 // SearchGenomeStreamContext runs the streaming-shaped search over an
@@ -415,8 +331,7 @@ func SearchGenomeStreamContext(ctx context.Context, g *Genome, guides []Guide, p
 	if err != nil {
 		return nil, err
 	}
-	p.Region = "" // regions apply to in-memory Search only
-	return core.SearchGenomeStreamContext(ctx, g, pats, coreParams(p), ctrl, yield)
+	return core.SearchGenomeStreamContext(ctx, g, pats, p, ctrl, yield)
 }
 
 // FingerprintParams renders the checkpoint identity of a (guides,
@@ -476,33 +391,20 @@ func SearchStreamCheckpoint(ctx context.Context, r io.Reader, guides []Guide, p 
 	if err != nil {
 		return nil, err
 	}
-	header, writeSite := WriteSitesTSVHeader, WriteSiteTSV
-	if bed {
-		header, writeSite = nil, WriteSiteBED
-	}
-	o, err := j.Output(out, header)
-	if err != nil {
-		return nil, err
-	}
-	jctrl := &StreamControl{
-		SkipChrom: j.Done,
-		ChromDone: func(name string, sites int, scannedBases int64) error {
-			if err := o.Commit(name, sites, scannedBases); err != nil {
-				return err
-			}
-			if ctrl != nil && ctrl.ChromDone != nil {
+	var st *Stats
+	_, err = j.Stream(out, bed, func(skip func(string) bool, commit func(string, int, int64) error, yield func(Site) error) error {
+		done := commit
+		if ctrl != nil && ctrl.ChromDone != nil {
+			done = func(name string, sites int, scannedBases int64) error {
+				if err := commit(name, sites, scannedBases); err != nil {
+					return err
+				}
 				return ctrl.ChromDone(name, sites, scannedBases)
 			}
-			return nil
-		},
-	}
-	st, err := SearchStreamContext(ctx, r, guides, p, jctrl, func(s Site) error { return writeSite(o, s) })
-	// Commit on every exit: this journals the chromosomes completed
-	// since the last commit, a cancelled scan's included, and delivers
-	// any rows after them, such as the header of a scan that completed
-	// nothing.
-	if ferr := o.Flush(); ferr != nil && err == nil {
-		err = ferr
-	}
+		}
+		var err error
+		st, err = SearchStreamContext(ctx, r, guides, p, &StreamControl{SkipChrom: skip, ChromDone: done}, yield)
+		return err
+	})
 	return st, err
 }

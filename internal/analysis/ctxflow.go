@@ -5,8 +5,8 @@ import (
 )
 
 // CtxFlow keeps the scan pipeline's cancellation plumbing intact in the
-// packages that carry it (internal/core, internal/hscan,
-// internal/casoffinder). A context.Context handed to these layers must
+// packages that carry it (internal/core and the engines: internal/hscan,
+// internal/casoffinder, internal/casot, internal/seedindex). A context.Context handed to these layers must
 // flow through them — a function that accepts a ctx and then ignores it
 // or substitutes a fresh one silently severs cancellation for
 // everything beneath, which is exactly the regression that turns a
@@ -21,18 +21,19 @@ import (
 //     context.Background() or context.TODO() (including inside nested
 //     function literals).
 //
-// Ctx-less compatibility wrappers (core.Search, Engine.ScanChrom) are
+// Ctx-less compatibility wrappers (core.Search, core.SearchStream) are
 // the sanctioned entry points for a background context: they take no
-// ctx, so neither rule applies to them.
+// ctx, so neither rule applies to them. An engine has no such wrapper:
+// arch.Engine.ScanChrom takes the caller's ctx.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "ctx-taking functions in core/hscan/casoffinder must propagate their " +
+	Doc: "ctx-taking functions in core and the engines must propagate their " +
 		"context.Context and never substitute context.Background()/TODO()",
 	Run: runCtxFlow,
 }
 
 // ctxFlowPkgSuffixes names the gated packages.
-var ctxFlowPkgSuffixes = []string{"internal/core", "internal/hscan", "internal/casoffinder"}
+var ctxFlowPkgSuffixes = []string{"internal/core", "internal/hscan", "internal/casoffinder", "internal/casot", "internal/seedindex"}
 
 func runCtxFlow(pass *Pass) error {
 	gated := false

@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -46,7 +47,7 @@ func sortReports(out []automata.Report) []automata.Report {
 func collect(t *testing.T, e arch.Engine, c *genome.Chromosome) []automata.Report {
 	t.Helper()
 	var out []automata.Report
-	if err := e.ScanChrom(c, func(r automata.Report) { out = append(out, r) }); err != nil {
+	if err := e.ScanChrom(context.Background(), c, func(r automata.Report) { out = append(out, r) }); err != nil {
 		t.Fatal(err)
 	}
 	return sortReports(out)

@@ -3,6 +3,13 @@
 // drives, the timing breakdown every platform reports, and resource
 // accounting for spatial architectures.
 //
+// There is one scan contract. Every engine implements Engine, whose
+// ScanChrom takes the caller's context and stops within DefaultChunk
+// positions of a cancel, and every scan starts through the package's
+// ScanChrom, which turns a panic on the calling goroutine into an
+// error. ChunkScan gives the data-parallel engines both properties for
+// their worker goroutines.
+//
 // The paper evaluates six systems. Two baselines (Cas-OFFinder, CasOT)
 // and the automata CPU engine (the HyperScan stand-in) execute for real
 // and are wall-clock measured. The accelerator platforms (Micron AP,
@@ -88,35 +95,32 @@ func (p PatternSpec) MinusSpec(code int32) PatternSpec {
 
 // Engine scans chromosomes and emits match events. Event codes are
 // assigned by the caller at compile time (conventionally
-// guideIndex*2 + strand).
+// guideIndex*2 + strand). It is the one scan contract every engine
+// implements; start a scan through the package-level ScanChrom, which
+// guards it.
 type Engine interface {
 	// Name identifies the engine in tables ("hyperscan", "casot", ...).
 	Name() string
-	// ScanChrom scans one chromosome and emits every match event.
-	// End positions are 0-based indices of the last matched base.
-	ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error
+	// ScanChrom scans one chromosome and emits every match event. End
+	// positions are 0-based indices of the last matched base. The scan
+	// checks ctx at least every DefaultChunk positions; once ctx is done
+	// it stops and returns an error wrapping ctx.Err(). An engine may
+	// emit before it fails, so a caller discards the events of a scan
+	// that returns an error.
+	ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error
 }
 
-// ContextEngine is implemented by engines that can honor cancellation
-// mid-chromosome. The orchestrator prefers this interface when present;
-// engines without it are only cancellable between chromosomes.
-type ContextEngine interface {
-	Engine
-	// ScanChromContext is ScanChrom bounded by ctx: the scan stops at
-	// the next internal chunk boundary once ctx is done and returns an
-	// error wrapping ctx.Err(). No events are emitted for an aborted
-	// chromosome.
-	ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error
-}
-
-// ScanChrom dispatches a chromosome scan through ScanChromContext when
-// the engine implements it, falling back to the plain interface (which
-// then only honors ctx between chromosomes, at the caller's checks).
+// ScanChrom runs one chromosome scan of e: the one call every scan
+// starts through. A panic on the calling goroutine becomes an error
+// naming the engine and chromosome, so a buggy engine fails its search
+// instead of crashing the process (ChunkScan already recovers panics
+// in its workers).
 func ScanChrom(ctx context.Context, e Engine, c *genome.Chromosome, emit func(automata.Report)) error {
-	if ce, ok := e.(ContextEngine); ok {
-		return ce.ScanChromContext(ctx, c, emit)
-	}
-	return e.ScanChrom(c, emit)
+	return Recovered(nil, func(r any) error {
+		return fmt.Errorf("arch: engine %s panicked scanning %s: %v", e.Name(), c.Name, r)
+	}, func() error {
+		return e.ScanChrom(ctx, c, emit)
+	})
 }
 
 // Instrumented is implemented by engines that report execution metrics

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -101,7 +102,7 @@ func MeasureEngine(w *Workload, e arch.Engine) (seconds float64, events int, err
 	seconds, err = metrics.MeasureSeconds(func() error {
 		for ci := range w.Genome.Chroms {
 			c := &w.Genome.Chroms[ci]
-			if serr := e.ScanChrom(c, func(automata.Report) { events++ }); serr != nil {
+			if serr := arch.ScanChrom(context.Background(), e, c, func(automata.Report) { events++ }); serr != nil {
 				return serr
 			}
 		}
@@ -125,7 +126,7 @@ func CountEvents(w *Workload) (int, error) {
 	events := 0
 	for ci := range w.Genome.Chroms {
 		c := &w.Genome.Chroms[ci]
-		if err := e.ScanChrom(c, func(automata.Report) { events++ }); err != nil {
+		if err := arch.ScanChrom(context.Background(), e, c, func(automata.Report) { events++ }); err != nil {
 			return 0, err
 		}
 	}

@@ -160,18 +160,11 @@ func codeOf(b dna.Base) int {
 	return int(b)
 }
 
-// ScanChrom implements arch.Engine. It is the ctx-less compatibility
-// bridge; cancellation-aware callers use ScanChromContext.
-func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	return e.ScanChromContext(context.Background(), c, emit)
-}
-
-// ScanChromContext implements arch.ContextEngine: candidate window
-// positions drain through the arch.ChunkScan worker pool, which checks
-// ctx between chunks (so cancellation latency is bounded by
-// arch.DefaultChunk positions) and isolates worker panics into errors
-// naming the chunk.
-func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+// ScanChrom implements arch.Engine: candidate window positions drain
+// through the arch.ChunkScan worker pool, which checks ctx between
+// chunks (so cancellation latency is bounded by arch.DefaultChunk
+// positions) and isolates worker panics into errors naming the chunk.
+func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	total := len(c.Seq) - e.siteLen + 1
 	if total <= 0 {
 		return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +33,7 @@ func TestScanChromContextCancelMidFlight(t *testing.T) {
 		}
 	}
 
-	err = e.ScanChromContext(ctx, c, func(automata.Report) {})
+	err = e.ScanChrom(ctx, c, func(automata.Report) {})
 	if err == nil {
 		t.Fatal("want cancellation error, got nil")
 	}
@@ -64,7 +63,7 @@ func TestScanChromContextWorkerPanicIsolated(t *testing.T) {
 		}
 	}
 
-	err = e.ScanChromContext(context.Background(), c, func(automata.Report) {})
+	err = e.ScanChrom(context.Background(), c, func(automata.Report) {})
 	if err == nil {
 		t.Fatal("want panic-derived error, got nil")
 	}
@@ -86,38 +85,8 @@ func TestScanChromContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	err = e.ScanChromContext(ctx, c, func(automata.Report) {})
+	err = e.ScanChrom(ctx, c, func(automata.Report) {})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want wrapped context.DeadlineExceeded, got %v", err)
-	}
-}
-
-func TestScanChromContextCleanRunMatchesBridge(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	specs := randSpecs(rng, 4, 20, 2)
-	c := chromOf(rng, 3*arch.DefaultChunk+777, 0.002)
-	e, err := New(specs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Workers = 4
-	want := collect(t, e, c)
-	var got []automata.Report
-	if err := e.ScanChromContext(context.Background(), c, func(r automata.Report) { got = append(got, r) }); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(got, func(i, j int) bool {
-		if got[i].End != got[j].End {
-			return got[i].End < got[j].End
-		}
-		return got[i].Code < got[j].Code
-	})
-	if len(got) != len(want) {
-		t.Fatalf("ctx path emitted %d reports, bridge %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("report %d differs: %+v vs %+v", i, got[i], want[i])
-		}
 	}
 }

@@ -7,7 +7,10 @@
 // Perl script; this Go reimplementation keeps the algorithm and thread
 // model (one thread, byte-at-a-time comparisons, no bit packing) but is
 // inevitably faster than Perl, which EXPERIMENTS.md accounts for when
-// comparing measured ratios with the paper's.
+// comparing measured ratios with the paper's. Like every engine it
+// honors the arch.Engine contract: each per-guide pass checks its
+// context every arch.DefaultChunk positions, so a cancel, deadline or
+// service drain stops it mid-chromosome.
 //
 // An additional seed-index variant (index.go) accelerates the same
 // search with a genome k-mer index and seed-variant enumeration; it is
@@ -16,6 +19,7 @@
 package casot
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -86,13 +90,16 @@ func (e *Engine) Name() string { return "casot" }
 // chromosome pass per guide, re-testing the PAM each time. The
 // deliberately naive cost structure (genome x guides with no sharing) is
 // the baseline the paper's 600x accelerator speedups are measured
-// against.
+// against. Each pass checks ctx every arch.DefaultChunk positions, so a
+// cancelled scan stops mid-chromosome; it emits as it goes, so the
+// events of a cancelled scan are partial.
 //
 //crisprlint:hotpath
-func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
+func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	seq := c.Seq
 	spacerLen := len(e.specs[0].Spacer)
 	site := e.specs[0].SiteLen()
+	windows := len(seq) - site + 1
 	// Candidate windows for CasOT are positions x patterns: each pattern
 	// rescans the chromosome, which is its defining cost structure.
 	var candidates, pamHits, verifs int64
@@ -113,41 +120,55 @@ func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) err
 		// the whole position loop; perfgate carries it in the baseline.
 		inSeed := seedMembership(spacerLen, e.opt.SeedLen, spec.PAMLeft)
 		inSeed = inSeed[:spacerLen]
-		for p := 0; p+site <= len(seq); p++ {
-			candidates++
-			if !pamOK(pam, seq[p+pamOff:p+pamOff+len(pam)]) {
-				continue
+		for lo := 0; lo < windows; lo += arch.DefaultChunk {
+			//crisprlint:allow loopinvariant ctx.Err changes when the caller cancels; it runs once per chunk, not per position
+			if err := ctx.Err(); err != nil {
+				e.count(candidates, pamHits, verifs)
+				return fmt.Errorf("casot: scan canceled: %w", err)
 			}
-			pamHits++
-			window := seq[p+spacerOff : p+spacerOff+spacerLen]
-			if window.HasAmbiguous() {
-				continue
-			}
-			window = window[:spacerLen]
-			verifs++
-			total, seed := 0, 0
-			ok := true
-			for i := 0; i < spacerLen; i++ {
-				if !spacer[i].Has(window[i]) {
-					total++
-					if inSeed[i] {
-						seed++
-					}
-					if total > spec.K || seed > e.opt.MaxSeedMismatches {
-						ok = false
-						break
+			hi := min(lo+arch.DefaultChunk, windows)
+			for p := lo; p < hi; p++ {
+				candidates++
+				if !pamOK(pam, seq[p+pamOff:p+pamOff+len(pam)]) {
+					continue
+				}
+				pamHits++
+				window := seq[p+spacerOff : p+spacerOff+spacerLen]
+				if window.HasAmbiguous() {
+					continue
+				}
+				window = window[:spacerLen]
+				verifs++
+				total, seed := 0, 0
+				ok := true
+				for i := 0; i < spacerLen; i++ {
+					if !spacer[i].Has(window[i]) {
+						total++
+						if inSeed[i] {
+							seed++
+						}
+						if total > spec.K || seed > e.opt.MaxSeedMismatches {
+							ok = false
+							break
+						}
 					}
 				}
-			}
-			if ok {
-				emit(automata.Report{Code: spec.Code, End: p + site - 1})
+				if ok {
+					emit(automata.Report{Code: spec.Code, End: p + site - 1})
+				}
 			}
 		}
 	}
+	e.count(candidates, pamHits, verifs)
+	return nil
+}
+
+// count flushes one scan's locally accumulated counters into the
+// recorder.
+func (e *Engine) count(candidates, pamHits, verifs int64) {
 	e.rec.Add(metrics.CounterCandidateWindows, candidates)
 	e.rec.Add(metrics.CounterPrefilterHits, pamHits)
 	e.rec.Add(metrics.CounterVerifications, verifs)
-	return nil
 }
 
 // seedMembership marks the PAM-proximal seedLen spacer positions: the 3'

@@ -1,6 +1,7 @@
 package casot
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -63,8 +64,10 @@ func seedWindowOffset(spec *arch.PatternSpec, seedLen int) int {
 // Name implements arch.Engine.
 func (e *IndexEngine) Name() string { return "casot-index" }
 
-// ScanChrom implements arch.Engine.
-func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
+// ScanChrom implements arch.Engine. It checks ctx every
+// arch.DefaultChunk positions, both while indexing and while extending
+// candidates, and emits as it goes.
+func (e *IndexEngine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	seq := c.Seq
 	spacerLen := len(e.specs[0].Spacer)
 	site := e.specs[0].SiteLen()
@@ -79,6 +82,11 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 	mask := uint32(1)<<(2*uint(s)) - 1
 	valid := 0 // number of trailing concrete bases accumulated
 	for i, b := range seq {
+		if i%arch.DefaultChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("casot: %s canceled indexing at position %d: %w", c.Name, i, err)
+			}
+		}
 		if b > dna.T {
 			valid = 0
 			continue
@@ -92,6 +100,8 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 	}
 
 	seen := make(map[int64]bool)
+	var err error
+	extended := 0
 	for si := range e.specs {
 		spec := &e.specs[si]
 		seedPat := seedOfSpec(spec, s)
@@ -112,8 +122,18 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 			budget = spec.K
 		}
 		enumerateVariants(seed, budget, func(variant dna.Seq, used int) {
+			if err != nil {
+				return // canceled: let the enumeration run out
+			}
 			vkey, _ := dna.KmerOf(variant)
 			for _, seedPos := range idx[uint32(vkey)] {
+				if extended%arch.DefaultChunk == 0 {
+					if cerr := ctx.Err(); cerr != nil {
+						err = fmt.Errorf("casot: %s canceled extending candidate %d: %w", c.Name, extended, cerr)
+						return
+					}
+				}
+				extended++
 				p := int(seedPos) - seedOff // window start
 				if p < 0 || p+site > len(seq) {
 					continue
@@ -138,6 +158,9 @@ func (e *IndexEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)
 				}
 			}
 		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"github.com/cap-repro/crisprscan/internal/metrics"
+	"github.com/cap-repro/crisprscan/internal/report"
 )
 
 // Entry records one completed chromosome.
@@ -310,6 +311,31 @@ func (o *Output) Flush() error {
 
 // Commits returns the number of durable journal commits made.
 func (o *Output) Commits() int { return o.commits }
+
+// Stream is the one exactly-once protocol of a checkpointed scan, which
+// the CLI and the scan service share. It opens the journal's Output on
+// out, with TSV rows, or BED6 rows when bed is set, and runs scan with
+// the streaming search's three hooks: skip reports the chromosomes the
+// journal already holds, commit records a completed chromosome, and
+// yield writes one row. It commits on every exit, failed or not, so a
+// cancelled, drained or failed scan keeps the chromosomes it completed,
+// and it returns the scan's error before the commit's. commits counts
+// the durable commits made.
+func (j *Journal) Stream(out io.Writer, bed bool, scan func(skip func(chrom string) bool, commit func(chrom string, sites int, scannedBases int64) error, yield func(report.Site) error) error) (commits int, err error) {
+	header, row := report.WriteTSVHeader, report.WriteTSVRow
+	if bed {
+		header, row = nil, report.WriteBEDRow
+	}
+	o, err := j.Output(out, header)
+	if err != nil {
+		return 0, err
+	}
+	err = scan(j.Done, o.Commit, func(s report.Site) error { return row(o, s) })
+	if ferr := o.Flush(); ferr != nil && err == nil {
+		err = ferr
+	}
+	return o.Commits(), err
+}
 
 // atomicWrite replaces path with data via a same-directory temp file,
 // rename, and a directory sync, so readers never observe a torn journal

@@ -17,10 +17,14 @@ import (
 // automata path: the edit lattice is compiled per guide and strand and
 // executed by the shared NFA simulator.
 type BulgeParams struct {
+	// MaxMismatches is the substitution budget.
 	MaxMismatches int
-	// MaxBulge is the combined DNA/RNA bulge budget (interior gaps).
-	MaxBulge       int
-	PAM            string
+	// MaxBulge is the combined budget for DNA bulges (extra genome
+	// bases) and RNA bulges (skipped spacer positions), interior only.
+	MaxBulge int
+	// PAM defaults to NGG.
+	PAM string
+	// PlusStrandOnly disables minus-strand search.
 	PlusStrandOnly bool
 }
 

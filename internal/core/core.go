@@ -66,54 +66,63 @@ var AllEngines = []EngineKind{
 	EngineAP, EngineFPGA, EngineInfant,
 }
 
-// Params configures a search.
+// Params configures a search; the public crisprscan.Params is this
+// type. The zero value searches both strands for NGG sites with zero
+// mismatches on the default CPU engine.
 type Params struct {
-	// MaxMismatches is the spacer Hamming budget k.
+	// MaxMismatches is the protospacer Hamming budget k (paper: 1-5).
 	MaxMismatches int
-	// PAM is the IUPAC PAM string (default NGG).
+	// PAM is the IUPAC PAM pattern (default "NGG"; "NRG" and "NAG" are
+	// common alternatives).
 	PAM string
-	// AltPAMs lists additional accepted PAM patterns (for example NAG
-	// alongside NGG); each must have the same length as PAM.
+	// AltPAMs lists additional accepted PAMs of the same length as PAM,
+	// so one search can cover NGG and NAG sites simultaneously.
 	AltPAMs []string
-	// PAM5 places the PAM 5' of the spacer on the plus strand — the
-	// Cas12a/Cpf1 geometry (e.g. PAM "TTTV"). Default is Cas9's 3' PAM.
+	// PAM5 selects Cas12a/Cpf1 geometry: the PAM sits 5' of the spacer
+	// on the plus strand (e.g. PAM "TTTV"). Default is Cas9's 3' PAM.
 	PAM5 bool
-	// Region restricts the search to "chrom" or "chrom:start-end"
-	// (0-based half-open). Only windows entirely inside the region are
-	// reported; positions stay in full-chromosome coordinates.
+	// Region restricts an in-memory search to "chrom" or
+	// "chrom:start-end" (0-based half-open). Only windows entirely
+	// inside the region are reported; positions stay in full-chromosome
+	// coordinates. The streaming searches ignore it.
 	Region string
-	// PlusStrandOnly restricts the search to the forward strand
-	// (both strands is the default and the paper's setting).
+	// PlusStrandOnly restricts the search to the forward strand (both
+	// strands is the default and the paper's setting).
 	PlusStrandOnly bool
 	// Engine selects the platform (default EngineHyperscan).
 	Engine EngineKind
-	// Workers sets data-parallel width for engines that support it
-	// (default 1, matching the paper's single-thread CPU baselines).
+	// Workers widens the data-parallel engines (default 1, matching the
+	// paper's single-thread CPU baselines).
 	Workers int
-	// SeedLen / MaxSeedMismatches configure CasOT's seed constraint.
-	// Zero values mean "no seed constraint" (seed budget = k), the
-	// setting under which all engines return identical sites.
+	// SeedLen and MaxSeedMismatches enable CasOT's seed-region
+	// constraint. Both zero means no constraint (the seed budget is k),
+	// the setting under which all engines return identical sites.
 	SeedLen           int
 	MaxSeedMismatches int
-	// MergeStates / Stride2 toggle the spatial-platform optimizations.
+	// MergeStates and Stride2 toggle the spatial-platform optimizations
+	// the paper proposes.
 	MergeStates bool
 	Stride2     bool
 	// SeedIndex, when non-nil, binds EngineSeedIndex to a persistent
-	// genome index built offline (cmd/genomeindex): scans touch only
-	// candidate loci instead of re-walking the genome. Nil makes the
-	// engine self-index per chromosome. Other engines ignore it.
+	// genome index (crisprscan.BuildSeedIndex or LoadSeedIndex, or
+	// cmd/genomeindex), so a scan touches only candidate loci. The index
+	// must describe the genome being scanned: validate one loaded from
+	// disk with its ValidateGenome; a mismatched chromosome fails the
+	// scan closed. Nil makes the engine self-index per chromosome. Other
+	// engines ignore it.
 	SeedIndex *seedindex.Index
-	// Metrics, when non-nil, is the recorder the search reports into —
-	// callers provide one to attach a Tracer or to aggregate several
-	// searches into one recorder. When nil the orchestrator creates a
-	// private recorder; either way every Result carries a Snapshot.
+	// Metrics, when non-nil, is the recorder the search reports into:
+	// supply one to attach a Tracer or to aggregate several searches.
+	// When nil a private recorder is created; either way the result's
+	// Stats.Metrics carries the final snapshot.
 	Metrics *metrics.Recorder
-	// Progress, when non-nil, is the live progress tracker the search
-	// advances: per-chunk byte counts from the worker pool, chromosome
-	// completion from the orchestrator, and (for in-memory searches) the
-	// exact genome-size denominator. Snapshot it from another goroutine
-	// for live progress/ETA. Nil disables tracking at the cost of one
-	// nil check per chunk.
+	// Progress, when non-nil, is advanced live as the search runs:
+	// per-chunk byte counts from the worker pools, chromosome completion
+	// from the orchestrator. In-memory searches set the exact
+	// total-bytes denominator; streaming callers should supply an
+	// estimate (e.g. the FASTA file size) via SetTotalBytes. Snapshot it
+	// from another goroutine for live progress and ETA. Nil disables
+	// tracking at the cost of one nil check per chunk.
 	Progress *metrics.Progress
 }
 
@@ -160,7 +169,7 @@ type Stats struct {
 	Metrics *metrics.Snapshot
 }
 
-// Result is a completed search.
+// Result is a completed search: verified sites plus execution stats.
 type Result struct {
 	Sites []report.Site
 	Stats Stats
@@ -365,7 +374,7 @@ func (s *search) chrom(ctx context.Context, c *genome.Chromosome, col *report.Co
 	endSpan := s.rec.TraceSpan("scan " + c.Name)
 	s.events = s.events[:0]
 	swScan := metrics.NewStopwatch()
-	err := scanChromSafe(ctx, s.engine, c, func(r automata.Report) {
+	err := arch.ScanChrom(ctx, s.engine, c, func(r automata.Report) {
 		s.events = append(s.events, r)
 	})
 	scanNs := swScan.ElapsedNanos()
@@ -423,8 +432,8 @@ func Search(g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
 }
 
 // SearchContext is Search bounded by ctx. Cancellation and deadlines
-// are honored between chromosomes here, and at chunk granularity inside
-// the data-parallel CPU engines (which implement arch.ContextEngine).
+// are honored between chromosomes here, and inside every engine at
+// least every arch.DefaultChunk positions (the arch.Engine contract).
 // On cancellation the returned Result is non-nil and carries the sites
 // and stats of the chromosomes completed before the abort, alongside an
 // error wrapping context.Canceled / context.DeadlineExceeded.
@@ -479,19 +488,4 @@ func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, 
 	endReport()
 	s.rec.Add(metrics.CounterSitesEmitted, int64(len(sites)))
 	return &Result{Sites: sites, Stats: *s.finish(start)}, scanErr
-}
-
-// scanChromSafe dispatches one chromosome scan through the ctx-aware
-// engine interface when available and converts any engine panic that
-// escapes to the orchestrator goroutine into an error, so a buggy or
-// fault-injected engine degrades to a failed search rather than a
-// process crash. (Panics inside engine worker goroutines are already
-// recovered by arch.ChunkScan.)
-func scanChromSafe(ctx context.Context, engine arch.Engine, c *genome.Chromosome, emit func(automata.Report)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: engine %s panicked scanning %s: %v", engine.Name(), c.Name, r)
-		}
-	}()
-	return arch.ScanChrom(ctx, engine, c, emit)
 }

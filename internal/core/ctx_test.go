@@ -9,6 +9,7 @@ import (
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
+	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/faultinject"
 	"github.com/cap-repro/crisprscan/internal/genome"
 	"github.com/cap-repro/crisprscan/internal/report"
@@ -31,8 +32,8 @@ type cancelingEngine struct {
 	cancel context.CancelFunc
 }
 
-func (e *cancelingEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	err := e.Engine.ScanChrom(c, emit)
+func (e *cancelingEngine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+	err := e.Engine.ScanChrom(ctx, c, emit)
 	e.cancel()
 	return err
 }
@@ -156,7 +157,7 @@ func TestSearchContextCleanRunMatchesSearch(t *testing.T) {
 }
 
 // midChromCanceler walks its target chromosome through an arch.ChunkScan
-// pool on the ctx the orchestrator hands to ScanChromContext, cancels
+// pool on the ctx the orchestrator hands to ScanChrom, cancels
 // the search once cancelAt chunks have run, and only then lets the real
 // engine scan. The pool can stop before the chromosome's last chunk only
 // if the search's own ctx reached the engine.
@@ -168,7 +169,7 @@ type midChromCanceler struct {
 	ran      int // chunks of target run; the pool has one worker
 }
 
-func (e *midChromCanceler) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+func (e *midChromCanceler) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if c.Name == e.target {
 		_, err := arch.ChunkScan(ctx, "mid-chrom "+c.Name, 1, len(c.Seq), arch.DefaultChunk, nil,
 			func(lo, hi int, _ *[]automata.Report) error {
@@ -258,5 +259,32 @@ func TestCancelInsideChromosome(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanChromContextPreCanceledEveryEngine builds every kind in
+// AllEngines and scans a chromosome several chunks long with a context
+// that is already done. Every engine must refuse the work with an error
+// wrapping context.Canceled and emit nothing: the one scan contract
+// holds for every platform, the single-thread CasOT baseline included.
+func TestScanChromContextPreCanceledEveryEngine(t *testing.T) {
+	g, guides, _ := plantedFixture(t, 311, 3, 3*arch.DefaultChunk, genome.PlantPlan{0: 2, 1: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, kind := range AllEngines {
+		p := Params{MaxMismatches: 2, Engine: kind}
+		specs := BuildSpecs(guides, dna.MustParsePattern("NGG"), p.MaxMismatches, false)
+		e, err := NewEngine(kind, specs, p)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		emitted := 0
+		err = arch.ScanChrom(ctx, e, &g.Chroms[0], func(automata.Report) { emitted++ })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: want wrapped context.Canceled, got %v", kind, err)
+		}
+		if emitted != 0 {
+			t.Errorf("%s: %d events emitted after a pre-canceled ctx", kind, emitted)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestModeledStatsSameOnEveryPath(t *testing.T) {
 			for ci := range g.Chroms {
 				c := &g.Chroms[ci]
 				events := 0
-				if err := ref.ScanChrom(c, func(automata.Report) { events++ }); err != nil {
+				if err := ref.ScanChrom(context.Background(), c, func(automata.Report) { events++ }); err != nil {
 					t.Fatal(err)
 				}
 				b := model.EstimateBreakdown(len(c.Seq), events)

@@ -166,16 +166,7 @@ func (e *Engine) Calls() int {
 }
 
 // ScanChrom implements arch.Engine.
-func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	if err := e.arm(); err != nil {
-		return err
-	}
-	return e.Inner.ScanChrom(c, emit)
-}
-
-// ScanChromContext implements arch.ContextEngine, forwarding ctx to the
-// wrapped engine when it is ctx-aware.
-func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if err := e.arm(); err != nil {
 		return err
 	}
@@ -252,15 +243,7 @@ type FlakyEngine struct {
 func (e *FlakyEngine) Name() string { return e.Inner.Name() }
 
 // ScanChrom implements arch.Engine.
-func (e *FlakyEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	if err := e.Flaky.Next(); err != nil {
-		return err
-	}
-	return e.Inner.ScanChrom(c, emit)
-}
-
-// ScanChromContext implements arch.ContextEngine.
-func (e *FlakyEngine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+func (e *FlakyEngine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if err := e.Flaky.Next(); err != nil {
 		return err
 	}
@@ -285,18 +268,10 @@ type LatencyEngine struct {
 // Name implements arch.Engine.
 func (e *LatencyEngine) Name() string { return e.Inner.Name() }
 
-// ScanChrom implements arch.Engine (waits without cancellation).
-func (e *LatencyEngine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	if err := e.wait(context.Background()); err != nil {
-		return err
-	}
-	return e.Inner.ScanChrom(c, emit)
-}
-
-// ScanChromContext implements arch.ContextEngine; the injected wait
-// aborts with ctx.Err() on cancellation, like a real slow scan would at
-// its next chunk boundary.
-func (e *LatencyEngine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+// ScanChrom implements arch.Engine; the injected wait aborts with
+// ctx.Err() on cancellation, like a real slow scan would at its next
+// chunk boundary.
+func (e *LatencyEngine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if err := e.wait(ctx); err != nil {
 		return err
 	}

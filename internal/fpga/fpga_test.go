@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,7 +50,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 		} else {
 			sim.Scan(in, func(r automata.Report) { a = append(a, r) })
 		}
-		if err := hs.ScanChrom(c, func(r automata.Report) { b = append(b, r) }); err != nil {
+		if err := hs.ScanChrom(context.Background(), c, func(r automata.Report) { b = append(b, r) }); err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range [][]automata.Report{a, b} {

@@ -54,7 +54,7 @@ func TestScanChromContextCancelMidFlight(t *testing.T) {
 				}
 			}
 
-			err = e.ScanChromContext(ctx, c, func(automata.Report) {})
+			err = e.ScanChrom(ctx, c, func(automata.Report) {})
 			if err == nil {
 				t.Fatal("want cancellation error, got nil")
 			}
@@ -92,7 +92,7 @@ func TestScanChromContextWorkerPanicIsolated(t *testing.T) {
 				}
 			}
 
-			err = e.ScanChromContext(context.Background(), c, func(automata.Report) {})
+			err = e.ScanChrom(context.Background(), c, func(automata.Report) {})
 			if err == nil {
 				t.Fatal("want panic-derived error, got nil")
 			}
@@ -118,42 +118,12 @@ func TestScanChromContextPreCanceled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		emitted := 0
-		err = e.ScanChromContext(ctx, c, func(automata.Report) { emitted++ })
+		err = e.ScanChrom(ctx, c, func(automata.Report) { emitted++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %v: want wrapped context.Canceled, got %v", mode, err)
 		}
 		if emitted != 0 {
 			t.Fatalf("mode %v: %d reports emitted after pre-canceled ctx", mode, emitted)
-		}
-	}
-}
-
-// TestScanChromContextCleanRunMatchesBridge pins the invariant that the
-// ctx-aware path with a live context emits exactly what the ctx-less
-// bridge does.
-func TestScanChromContextCleanRunMatchesBridge(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	specs := randSpecs(rng, 4, 20, 2)
-	c := chromOf(rng, 3*arch.DefaultChunk+777, 0.002)
-	for _, mode := range parallelModes {
-		e, err := New(specs, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Parallelism = 4
-		want := collect(t, e, c)
-		var got []automata.Report
-		if err := e.ScanChromContext(context.Background(), c, func(r automata.Report) { got = append(got, r) }); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		sortReports(got)
-		if len(got) != len(want) {
-			t.Fatalf("mode %v: ctx path emitted %d reports, bridge %d", mode, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("mode %v: report %d differs: %+v vs %+v", mode, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -209,16 +209,9 @@ func (e *Engine) MaxSiteLen() int {
 	return max
 }
 
-// ScanChrom implements arch.Engine. It is the ctx-less compatibility
-// bridge; cancellation-aware callers use ScanChromContext.
-func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	return e.ScanChromContext(context.Background(), c, emit)
-}
-
-// ScanChromContext implements arch.ContextEngine: the scan honors ctx
-// at chunk granularity (arch.DefaultChunk positions) on every execution
-// path.
-func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+// ScanChrom implements arch.Engine: the scan honors ctx at chunk
+// granularity (arch.DefaultChunk positions) on every execution path.
+func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	if e.mode == ModePrefilter {
 		return e.scanChromPrefilter(ctx, c, emit)
 	}

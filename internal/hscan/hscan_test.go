@@ -1,6 +1,7 @@
 package hscan
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -42,7 +43,7 @@ func chromOf(rng *rand.Rand, n int, ambRate float64) *genome.Chromosome {
 func collect(t *testing.T, e *Engine, c *genome.Chromosome) []automata.Report {
 	t.Helper()
 	var out []automata.Report
-	if err := e.ScanChrom(c, func(r automata.Report) { out = append(out, r) }); err != nil {
+	if err := e.ScanChrom(context.Background(), c, func(r automata.Report) { out = append(out, r) }); err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,6 +1,7 @@
 package hscan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -172,7 +173,7 @@ func TestPrefilterPropertyAgainstOracle(t *testing.T) {
 			return false
 		}
 		var got []automata.Report
-		if err := e.ScanChrom(c, func(rep automata.Report) { got = append(got, rep) }); err != nil {
+		if err := e.ScanChrom(context.Background(), c, func(rep automata.Report) { got = append(got, rep) }); err != nil {
 			return false
 		}
 		want := oracleGeneric(specs, c.Seq)

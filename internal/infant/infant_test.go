@@ -1,6 +1,7 @@
 package infant
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -41,7 +42,7 @@ func TestFunctionalAgreesWithHscan(t *testing.T) {
 	// The compiled automaton is what the frontier measurement describes.
 	var a, b []automata.Report
 	automata.NewSim(m.nfa).Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) { a = append(a, r) })
-	if err := hs.ScanChrom(c, func(r automata.Report) { b = append(b, r) }); err != nil {
+	if err := hs.ScanChrom(context.Background(), c, func(r automata.Report) { b = append(b, r) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range [][]automata.Report{a, b} {

@@ -68,32 +68,13 @@ func (s *Service) scanAttempt(ctx context.Context, job *Job, rec *metrics.Record
 		return fmt.Errorf("scanserve: opening output for job %s: %w", job.ID, err)
 	}
 	defer f.Close()
-	// Exactly-once bytes: the output is cut back to the last committed
-	// watermark, so rows flushed after it by a crashed attempt are
-	// re-emitted by the re-scan, not duplicated.
-	header, writeSite := crisprscan.WriteSitesTSVHeader, crisprscan.WriteSiteTSV
-	if job.Spec.BED {
-		header, writeSite = nil, crisprscan.WriteSiteBED
-	}
-	out, err := j.Output(f, header)
-	if err != nil {
-		return fmt.Errorf("scanserve: job %s: %w", job.ID, err)
-	}
-	ctrl := &crisprscan.StreamControl{SkipChrom: j.Done, ChromDone: out.Commit}
-	_, err = crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, ctrl, func(site crisprscan.Site) error {
-		return writeSite(out, site)
+	commits, err := j.Stream(f, job.Spec.BED, func(skip func(string) bool, commit func(string, int, int64) error, yield func(crisprscan.Site) error) error {
+		_, err := crisprscan.SearchGenomeStreamContext(ctx, g, guides, params, &crisprscan.StreamControl{SkipChrom: skip, ChromDone: commit}, yield)
+		return err
 	})
-	// Commit what completed on every exit, failed or not: a drained,
-	// timed-out or retried attempt resumes past it. Rows flushed past
-	// the last entry belong to an unfinished chromosome and are cut on
-	// resume.
-	ferr := out.Flush()
-	metrics.SpanFromContext(ctx).SetAttr("commits", strconv.Itoa(out.Commits()))
+	metrics.SpanFromContext(ctx).SetAttr("commits", strconv.Itoa(commits))
 	if err != nil {
 		return err
-	}
-	if ferr != nil {
-		return fmt.Errorf("scanserve: job %s: %w", job.ID, ferr)
 	}
 	if _, err := s.store.update(job.ID, func(rec *Job) { rec.Sites = j.Sites() }); err != nil {
 		return fmt.Errorf("scanserve: recording site count for job %s: %w", job.ID, err)

@@ -189,24 +189,18 @@ func enumerateFragment(frag dna.Pattern, radius, variantCap int) (keys []uint32,
 // Name implements arch.Engine.
 func (e *Engine) Name() string { return "seed-index" }
 
-// ScanChrom implements arch.Engine; it is the ctx-less compatibility
-// bridge around ScanChromContext.
-func (e *Engine) ScanChrom(c *genome.Chromosome, emit func(automata.Report)) error {
-	return e.ScanChromContext(context.Background(), c, emit)
-}
-
 // cand is one (pattern, window start) pair awaiting verification.
 type cand struct {
 	spec int32
 	pos  int32
 }
 
-// ScanChromContext implements arch.ContextEngine. Probing is cheap and
-// runs inline; candidate verification and the fallback position sweeps
-// drain through the arch.ChunkScan worker pool, which bounds
-// cancellation latency, isolates worker panics, and returns batches in
-// chunk order so emission is deterministic.
-func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
+// ScanChrom implements arch.Engine. Probing is cheap and runs inline;
+// candidate verification and the fallback position sweeps drain
+// through the arch.ChunkScan worker pool, which bounds cancellation
+// latency, isolates worker panics, and returns batches in chunk order
+// so emission is deterministic.
+func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
 	seq := c.Seq
 	if len(seq) < e.site {
 		return nil
@@ -214,6 +208,9 @@ func (e *Engine) ScanChromContext(ctx context.Context, c *genome.Chromosome, emi
 	tbl, lo, err := e.tableFor(c)
 	if err != nil {
 		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("seedindex: %s canceled before probing: %w", c.Name, err)
 	}
 	workers := e.Workers
 	if workers > runtime.NumCPU() {

@@ -2,6 +2,7 @@ package seedindex_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -237,7 +238,7 @@ func FuzzIndexRead(f *testing.F) {
 		g := ix.Genome()
 		e := engineFor(t, ix)
 		for i := range g.Chroms {
-			if err := e.ScanChrom(&g.Chroms[i], func(automata.Report) {}); err != nil {
+			if err := e.ScanChrom(context.Background(), &g.Chroms[i], func(automata.Report) {}); err != nil {
 				t.Fatalf("query over the index's own genome: %v", err)
 			}
 		}

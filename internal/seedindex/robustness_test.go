@@ -2,11 +2,13 @@ package seedindex_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -133,14 +135,14 @@ func TestStaleIndexFailsClosed(t *testing.T) {
 	e := engineFor(t, ix)
 	drop := func(automata.Report) {}
 	renamed := genome.New(genome.Chromosome{Name: "other", Seq: g.Chroms[0].Seq})
-	scanErr := e.ScanChrom(&renamed.Chroms[0], drop)
+	scanErr := e.ScanChrom(context.Background(), &renamed.Chroms[0], drop)
 	if !errors.Is(scanErr, seedindex.ErrStale) {
 		t.Fatalf("renamed chromosome scan error %v, want ErrStale", scanErr)
 	}
 
 	// Length drift: engine refuses at scan time.
 	short := genome.New(genome.Chromosome{Name: g.Chroms[0].Name, Seq: g.Chroms[0].Seq[:600]})
-	scanErr = e.ScanChrom(&short.Chroms[0], drop)
+	scanErr = e.ScanChrom(context.Background(), &short.Chroms[0], drop)
 	if !errors.Is(scanErr, seedindex.ErrStale) {
 		t.Fatalf("length-drift scan error %v, want ErrStale", scanErr)
 	}
@@ -150,7 +152,7 @@ func TestStaleIndexFailsClosed(t *testing.T) {
 	edited := append(dna.Seq(nil), g.Chroms[0].Seq...)
 	edited[50] ^= 1
 	drifted := genome.New(genome.Chromosome{Name: g.Chroms[0].Name, Seq: edited})
-	scanErr = e.ScanChrom(&drifted.Chroms[0], drop)
+	scanErr = e.ScanChrom(context.Background(), &drifted.Chroms[0], drop)
 	if !errors.Is(scanErr, seedindex.ErrStale) {
 		t.Fatalf("content-drift scan error %v, want ErrStale", scanErr)
 	}
@@ -177,7 +179,7 @@ func TestScanOverOwnGenomeSkipsRehash(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		testing.AllocsPerRun(4, func() {
-			if err := e.ScanChrom(c, drop); err != nil {
+			if err := e.ScanChrom(context.Background(), c, drop); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -195,8 +197,63 @@ func TestScanOverOwnGenomeSkipsRehash(t *testing.T) {
 	edited := append(dna.Seq(nil), own.Chroms[0].Seq...)
 	edited[n/2] ^= 1
 	drifted := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: edited})
-	if err := e.ScanChrom(&drifted.Chroms[0], drop); !errors.Is(err, seedindex.ErrStale) {
+	if err := e.ScanChrom(context.Background(), &drifted.Chroms[0], drop); !errors.Is(err, seedindex.ErrStale) {
 		t.Fatalf("content-drift scan error %v, want ErrStale", err)
+	}
+}
+
+// TestValidatedGenomeScansWithIndexPlanes loads a genome apart from its
+// index, as offtarget -index X -genome Y does. ValidateGenome hashes
+// each chromosome; the ones it proves equal must then carry the index's
+// own planes, so the scan's stale check does not hash them a second
+// time. The scan must report what a scan of ix.Genome() reports, and a
+// chromosome that fails validation keeps its own planes.
+func TestValidatedGenomeScansWithIndexPlanes(t *testing.T) {
+	g := genome.Synthesize(genome.SynthConfig{Seed: 6, NumChroms: 3, ChromLen: 60000, NRunRate: 40, NRunLen: 30})
+	built, err := seedindex.Build(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := seedindex.Read(bytes.NewReader(built.Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyOf := func(src *genome.Genome) *genome.Genome {
+		chroms := make([]genome.Chromosome, len(src.Chroms))
+		for i, c := range src.Chroms {
+			chroms[i] = genome.Chromosome{Name: c.Name, Seq: append(dna.Seq(nil), c.Seq...)}
+		}
+		return genome.New(chroms...)
+	}
+	loaded := copyOf(g)
+	if err := ix.ValidateGenome(loaded); err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(t, ix)
+	own := ix.Genome()
+	for i := range loaded.Chroms {
+		if loaded.Chroms[i].Packed != own.Chroms[i].Packed {
+			t.Fatalf("chromosome %s does not carry the index's planes after validation", loaded.Chroms[i].Name)
+		}
+		var got, want []automata.Report
+		if err := e.ScanChrom(context.Background(), &loaded.Chroms[i], func(r automata.Report) { got = append(got, r) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ScanChrom(context.Background(), &own.Chroms[i], func(r automata.Report) { want = append(want, r) }); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("chromosome %s: validated genome reports %v, the index's own %v", loaded.Chroms[i].Name, got, want)
+		}
+	}
+	edited := copyOf(g)
+	edited.Chroms[1].Seq[100] ^= 1
+	edited.Chroms[1].Packed = dna.Pack(edited.Chroms[1].Seq)
+	if err := ix.ValidateGenome(edited); !errors.Is(err, seedindex.ErrStale) {
+		t.Fatalf("edited genome validated with %v, want ErrStale", err)
+	}
+	if edited.Chroms[1].Packed == own.Chroms[1].Packed {
+		t.Fatal("a chromosome that failed validation took the index's planes")
 	}
 }
 

@@ -263,6 +263,8 @@ func (ix *Index) Postings() int { return len(ix.table.postings) }
 // mismatch means the FASTA changed after the index was built (or the
 // index belongs to a different reference); scanning with such an index
 // could silently miss sites, so callers must fail closed on error.
+// Each chromosome it proves equal takes the index's own packed planes,
+// so a scan of g with the index hashes no chromosome a second time.
 func (ix *Index) ValidateGenome(g *genome.Genome) error {
 	if g == nil {
 		return fmt.Errorf("seedindex: nil genome")
@@ -281,6 +283,7 @@ func (ix *Index) ValidateGenome(g *genome.Genome) error {
 		if seqSHA(c.Seq) != ci.SeqSHA {
 			return fmt.Errorf("%w: chromosome %q content hash differs (reference edited after indexing?)", ErrStale, c.Name)
 		}
+		c.Packed = ci.Packed
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package seedindex
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func scanAll(t *testing.T, e arch.Engine, g *genome.Genome) map[[2]int64]bool {
 	out := make(map[[2]int64]bool)
 	for i := range g.Chroms {
 		c := &g.Chroms[i]
-		if err := e.ScanChrom(c, func(r automata.Report) {
+		if err := e.ScanChrom(context.Background(), c, func(r automata.Report) {
 			out[[2]int64{int64(i)<<32 | int64(r.Code), int64(r.End)}] = true
 		}); err != nil {
 			t.Fatalf("scan %s: %v", c.Name, err)

@@ -226,3 +226,26 @@ func TestFingerprintParamsDefaultsApplied(t *testing.T) {
 		t.Fatal("PAM change must change the fingerprint")
 	}
 }
+
+// TestFingerprintParamsPinned pins FingerprintParams' output: journals
+// written by earlier builds of the CLI and the service carry these
+// identities, and a change to the fingerprint would make every one of
+// them refuse to resume.
+func TestFingerprintParamsPinned(t *testing.T) {
+	guides := []Guide{{Name: "g0", Spacer: "GGGTGGGGGGAGTTTGCTCC"}, {Name: "g1", Spacer: "acgtacgtacgtacgtacgt"}}
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want string
+	}{
+		{"defaults", Params{}, "4cd10f64e002b7cf5578d8fd6c5840d3"},
+		{"every field", Params{
+			MaxMismatches: 4, PAM: "nrg", AltPAMs: []string{"NAG", "ngc"}, PAM5: true,
+			PlusStrandOnly: true, Engine: EngineCasOT, SeedLen: 12, MaxSeedMismatches: 2,
+		}, "9de9c2b924d3e33b8f7475be37318dec"},
+	} {
+		if got := FingerprintParams(guides, tc.p); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
