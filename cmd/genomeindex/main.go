@@ -1,8 +1,9 @@
 // Command genomeindex manages persistent genome seed indexes: build
 // once from a FASTA reference, then hand the index to offtarget (or
 // the scan service) so repeated guide queries skip the genome sweep
-// entirely. The index file is self-describing and checksummed; every
-// load re-verifies it, and validate additionally proves it still
+// entirely. The index file is self-describing and checksummed. A query
+// checks only the parts of the file it reads; validate and inspect
+// read and check all of it, and validate additionally proves it still
 // matches a given reference byte for byte.
 //
 // Usage:
@@ -99,12 +100,15 @@ func runValidate(args []string, stdout io.Writer) error {
 	if *indexPath == "" {
 		return fmt.Errorf("validate: missing -index")
 	}
-	// Load alone re-verifies every checksum; a corrupt, truncated or
-	// version-skewed file fails here before any genome comparison.
-	ix, err := seedindex.Load(*indexPath)
+	// Load checks the header, TOC and planes; Verify reads the seed
+	// table and checks every block checksum and the table's structure.
+	// A corrupt, truncated or version-skewed file fails here before any
+	// genome comparison.
+	ix, err := loadVerified(*indexPath)
 	if err != nil {
 		return err
 	}
+	defer ix.Close()
 	if *genomePath != "" {
 		g, err := crisprscan.LoadGenome(*genomePath)
 		if err != nil {
@@ -129,10 +133,11 @@ func runInspect(args []string, stdout io.Writer) error {
 	if *indexPath == "" {
 		return fmt.Errorf("inspect: missing -index")
 	}
-	ix, err := seedindex.Load(*indexPath)
+	ix, err := loadVerified(*indexPath)
 	if err != nil {
 		return err
 	}
+	defer ix.Close()
 	fmt.Fprintf(stdout, "seed length\t%d\nchromosomes\t%d\nkeys\t%d\npostings\t%d\n",
 		ix.SeedLen, len(ix.Chroms), ix.Keys(), ix.Postings())
 	fmt.Fprintln(stdout, "name\tlength\tsha256")
@@ -141,4 +146,17 @@ func runInspect(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%s\t%d\t%x\n", c.Name, c.SeqLen, c.SeqSHA[:8])
 	}
 	return nil
+}
+
+// loadVerified loads an index and proves the whole file (Verify).
+func loadVerified(path string) (*seedindex.Index, error) {
+	ix, err := seedindex.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.Verify(); err != nil {
+		ix.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ix, nil
 }

@@ -346,6 +346,7 @@ func run(ctx context.Context, cfg *config) (err error) {
 		if err != nil {
 			return err
 		}
+		defer ix.Close()
 		params.SeedIndex = ix
 		logger.Info("loaded genome seed index",
 			"index", cfg.indexPath, "chromosomes", len(ix.Chroms), "seed_len", ix.SeedLen)
@@ -433,11 +434,18 @@ func run(ctx context.Context, cfg *config) (err error) {
 	}
 
 	res, err := crisprscan.SearchContext(ctx, g, guides, params)
+	if res == nil {
+		return err
+	}
+	// A failed scan's Result still holds the sites of the chromosomes it
+	// completed: write them, header first, before returning the error,
+	// as -stream does.
+	werr := writeSites(w, res.Sites, cfg.bed)
 	if err != nil {
 		return err
 	}
-	if err := writeSites(w, res.Sites, cfg.bed); err != nil {
-		return err
+	if werr != nil {
+		return werr
 	}
 	if cfg.summary {
 		if err := report.WriteSummary(os.Stderr, report.Summarize(res.Sites, len(guides)), cfg.k); err != nil {

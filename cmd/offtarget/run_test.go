@@ -143,6 +143,80 @@ func TestRunTimeoutAbortsButFlushes(t *testing.T) {
 	}
 }
 
+// TestRunBatchFailureKeepsCompletedRows: a batch scan that fails after
+// its first chromosome writes the header and exactly that chromosome's
+// rows before it returns the error, as -stream does. The run is
+// canceled once the admin registry shows chromosome 1 done; CasOT takes
+// far longer over the 4 Mbp chromosome 2, so the cancel lands in it.
+func TestRunBatchFailureKeepsCompletedRows(t *testing.T) {
+	dir := t.TempDir()
+	first := crisprscan.SynthesizeGenome(crisprscan.SynthConfig{Seed: 815, ChromLen: 20000, NumChroms: 1})
+	second := crisprscan.SynthesizeGenome(crisprscan.SynthConfig{Seed: 816, ChromLen: 4_000_000, NumChroms: 1})
+	recs := append(first.ToFasta(), second.ToFasta()...)
+	recs[1].ID = "chr2"
+	genomePath := filepath.Join(dir, "genome.fa")
+	if err := fasta.WriteFile(genomePath, recs); err != nil {
+		t.Fatal(err)
+	}
+	guides, err := crisprscan.SampleGuides(first, 4, 20, "NGG", 817)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gl strings.Builder
+	for _, gu := range guides {
+		fmt.Fprintf(&gl, "%s %s\n", gu.Name, gu.Spacer)
+	}
+	guidesPath := filepath.Join(dir, "guides.txt")
+	if err := os.WriteFile(guidesPath, []byte(gl.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := crisprscan.Search(first, guides, crisprscan.Params{MaxMismatches: 2, PAM: "NGG", Engine: crisprscan.EngineCasOT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Sites) == 0 {
+		t.Fatal("fixture: chromosome 1 has no sites")
+	}
+	var want bytes.Buffer
+	if err := crisprscan.WriteSitesTSV(&want, res.Sites); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := newScanRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for ctx.Err() == nil {
+			_, scans, _, _ := reg.collect()
+			for _, st := range scans {
+				if st.prog.Snapshot().ChromsDone >= 1 {
+					cancel()
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	outPath := filepath.Join(dir, "sites.tsv")
+	cfg := &config{genomePath: genomePath, guidesPath: guidesPath, k: 2, pam: "NGG", engineName: "casot",
+		workers: 1, outPath: outPath, httpAddr: "127.0.0.1:0", reg: reg,
+		log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	err = run(ctx, cfg)
+	cancel()
+	<-polled
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error %v, want a wrapped context.Canceled", err)
+	}
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("failed batch run wrote %d bytes:\n%s\nwant the header and chromosome 1's %d rows:\n%s", len(got), got, len(res.Sites), want.Bytes())
+	}
+}
+
 // TestRunCheckpointResumeByteIdentical interrupts a checkpointed
 // streaming run after its first chromosome commits (standing in for a
 // SIGINT'd process) and resumes it through the CLI path, asserting the

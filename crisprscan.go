@@ -183,9 +183,13 @@ func BuildSeedIndex(g *Genome, seedLen int) (*SeedIndex, error) {
 	return seedindex.Build(g, seedLen)
 }
 
-// LoadSeedIndex reads a genomeindex-built index file, verifying its
-// magic, version and every section checksum; damaged or version-skewed
-// files fail closed here rather than producing silently wrong scans.
+// LoadSeedIndex opens a genomeindex-built index file. It checks the
+// magic, version, TOC and sequence checksums here, so a damaged or
+// version-skewed file fails closed before any scan; the seed table is
+// read as queries need it, and each block is checked against its
+// checksum before use, so damage there fails the query that reads it.
+// SeedIndex.Verify proves the whole file up front. The index keeps the
+// file open: call Close when done with it.
 func LoadSeedIndex(path string) (*SeedIndex, error) {
 	return seedindex.Load(path)
 }

@@ -3,8 +3,10 @@ package seedindex
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
 	"github.com/cap-repro/crisprscan/internal/automata"
@@ -35,10 +37,13 @@ type Options struct {
 }
 
 // fragPlan is one precompiled seed fragment of a pattern: its window
-// offset and every table key within the per-fragment mismatch radius.
+// offset, every table key within the per-fragment mismatch radius, and
+// each key's place in the engine's sorted key set (Engine.keys), which
+// indexes the resolved posting lists.
 type fragPlan struct {
 	off      int
 	variants []uint32
+	slots    []int32
 }
 
 // specPlan is the compiled query plan for one pattern spec: either a
@@ -60,7 +65,8 @@ type specPlan struct {
 type Engine struct {
 	specs     []arch.PatternSpec
 	plans     []specPlan
-	idx       *Index // nil in self-indexing mode
+	keys      []uint32 // every variant key of the plans, sorted, no repeats
+	idx       *Index   // nil in self-indexing mode
 	seedLen   int
 	spacerLen int
 	site      int
@@ -70,6 +76,9 @@ type Engine struct {
 
 	// rec receives scan metrics; nil disables instrumentation.
 	rec *metrics.Recorder
+
+	mu       sync.Mutex
+	resolved [][]uint32 // idx's posting list of each key, once read
 }
 
 // SetMetrics implements arch.Instrumented.
@@ -119,7 +128,46 @@ func New(specs []arch.PatternSpec, idx *Index, opt Options) (*Engine, error) {
 			e.anyProbed = true
 		}
 	}
+	e.keys = slotKeys(e.plans, e.seedLen)
 	return e, nil
+}
+
+// slotKeys returns every variant key of the plans in ascending order
+// without repeats, and sets each fragment's slots to its variants'
+// places in that list. Keys lie below 4^seedLen, so it marks them in a
+// bitmap and ranks each with a popcount rather than sorting them: a
+// 120-guide query at k = 5 has about 200,000 variants.
+func slotKeys(plans []specPlan, seedLen int) []uint32 {
+	set := make([]uint64, (1<<(2*uint(seedLen))+63)/64)
+	variants := 0
+	for i := range plans {
+		for _, fr := range plans[i].frags {
+			for _, k := range fr.variants {
+				set[k/64] |= 1 << (k % 64)
+			}
+			variants += len(fr.variants)
+		}
+	}
+	rank := make([]int32, len(set)) // keys in the words before each word
+	var keys []uint32
+	for w, word := range set {
+		rank[w] = int32(len(keys))
+		for b := word; b != 0; b &= b - 1 {
+			keys = append(keys, uint32(64*w+bits.TrailingZeros64(b)))
+		}
+	}
+	slots := make([]int32, variants)
+	for i := range plans {
+		for j := range plans[i].frags {
+			fr := &plans[i].frags[j]
+			fr.slots, slots = slots[:len(fr.variants):len(fr.variants)], slots[len(fr.variants):]
+			for v, k := range fr.variants {
+				below := set[k/64] & (1<<(k%64) - 1)
+				fr.slots[v] = rank[k/64] + int32(bits.OnesCount64(below))
+			}
+		}
+	}
+	return keys
 }
 
 // compilePlan splits a spec's spacer into J = floor(L/S) disjoint
@@ -205,7 +253,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 	if len(seq) < e.site {
 		return nil
 	}
-	tbl, lo, err := e.tableFor(c)
+	lists, lo, err := e.listsFor(ctx, c)
 	if err != nil {
 		return err
 	}
@@ -229,7 +277,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 		}
 		scratch = scratch[:0]
 		for fi := range plan.frags {
-			scratch = e.probe(tbl, &plan.frags[fi], lo, len(seq), scratch)
+			scratch = e.probe(lists, &plan.frags[fi], lo, len(seq), scratch)
 		}
 		probes += int64(len(scratch))
 		slices.Sort(scratch)
@@ -300,16 +348,17 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 }
 
 // probe appends to scratch the start of every window of an n-base
-// chromosome at genome offset lo that one of fr's variants seeds. A
-// key's posting list spans the whole genome, so two binary searches cut
-// it to this chromosome first.
+// chromosome at genome offset lo that one of fr's variants seeds;
+// lists holds the posting list of each key of Engine.keys. A key's
+// posting list spans the whole genome, so two binary searches cut it to
+// this chromosome first.
 //
 //crisprlint:hotpath
-func (e *Engine) probe(tbl *seedTable, fr *fragPlan, lo uint32, n int, scratch []int32) []int32 {
+func (e *Engine) probe(lists [][]uint32, fr *fragPlan, lo uint32, n int, scratch []int32) []int32 {
 	hi := lo + uint32(n)
 	off, site := fr.off, e.site
-	for _, vk := range fr.variants {
-		list := tbl.lookup(vk)
+	for _, s := range fr.slots {
+		list := lists[s]
 		a, _ := slices.BinarySearch(list, lo)
 		b, _ := slices.BinarySearch(list, hi)
 		for _, gp := range list[a:b] {
@@ -324,17 +373,18 @@ func (e *Engine) probe(tbl *seedTable, fr *fragPlan, lo uint32, n int, scratch [
 	return scratch
 }
 
-// tableFor resolves the seed table for a chromosome and the genome
-// offset of its base 0. Bound to a persistent index it fails closed if
-// the chromosome is missing or its length or content hash disagrees —
-// a stale or foreign index must never scan. The SHA-256 recheck is
-// skipped only when the chromosome carries the index's own packed
-// planes (from ix.Genome(), or the genome Build was given): those are
-// the CRC-checked or freshly packed bytes the index describes. Any
-// other sequence, such as one read from -genome, is hashed. In
-// self-indexing mode it builds a transient table on the spot; when
-// every plan is a fallback sweep no table is needed at all.
-func (e *Engine) tableFor(c *genome.Chromosome) (*seedTable, uint32, error) {
+// listsFor returns the posting list of each of the engine's keys for
+// a chromosome, and the genome offset of its base 0. Bound to a
+// persistent index it fails closed if the chromosome is missing or its
+// length or content hash disagrees — a stale or foreign index must
+// never scan. The SHA-256 recheck is skipped only when the chromosome
+// carries the index's own packed planes (from ix.Genome(), or the
+// genome Build was given): those are the CRC-checked or freshly packed
+// bytes the index describes. Any other sequence, such as one read from
+// -genome, is hashed. The lists themselves are resolved once per engine
+// (resolve). In self-indexing mode it builds a transient table on the
+// spot; when every plan is a fallback sweep no table is needed at all.
+func (e *Engine) listsFor(ctx context.Context, c *genome.Chromosome) ([][]uint32, uint32, error) {
 	if e.idx != nil {
 		ci := e.idx.chrom(c.Name)
 		if ci == nil {
@@ -348,13 +398,31 @@ func (e *Engine) tableFor(c *genome.Chromosome) (*seedTable, uint32, error) {
 		if c.Packed != ci.Packed && seqSHA(c.Seq) != ci.SeqSHA {
 			return nil, 0, fmt.Errorf("%w: chromosome %q content differs from the indexed reference", ErrStale, c.Name)
 		}
-		return &e.idx.table, ci.off, nil
+		lists, err := e.resolve(ctx)
+		return lists, ci.off, err
 	}
 	if !e.anyProbed {
 		return nil, 0, nil
 	}
 	t := buildTable([]dna.Seq{c.Seq}, e.seedLen)
-	return &t, 0, nil
+	return t.lists(e.keys), 0, nil
+}
+
+// resolve returns the persistent index's posting list of every key,
+// reading them in one batch under the first scan's ctx and keeping them
+// for the engine's later scans. A read that fails is not kept, so the
+// next scan reads again.
+func (e *Engine) resolve(ctx context.Context) ([][]uint32, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.resolved == nil {
+		lists, err := e.idx.lists(ctx, e.keys)
+		if err != nil {
+			return nil, err
+		}
+		e.resolved = lists
+	}
+	return e.resolved, nil
 }
 
 // verifyPos applies the full exact-match semantics shared by every

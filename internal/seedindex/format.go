@@ -14,7 +14,7 @@ import (
 	"github.com/cap-repro/crisprscan/internal/dna"
 )
 
-// On-disk layout, version 2 (all integers little-endian):
+// On-disk layout, version 3 (all integers little-endian):
 //
 //	header (28 bytes):
 //	  [0:4)   magic "CSIX"
@@ -27,7 +27,9 @@ import (
 //	  per chromosome, in genome order:
 //	    nameLen uint32, name [nameLen]byte,
 //	    seqLen uint64, seqSHA [32]byte, planesCRC uint32
-//	  postingCount uint64, startsCRC uint32, postingsCRC uint32
+//	  postingCount uint64
+//	  one CRC-32C (uint32) per blockSize bytes of the starts section,
+//	    then one per blockSize bytes of the postings section
 //	  zero padding to a multiple of 8 bytes
 //	TOC CRC-32C over the tocLen bytes (4 bytes)
 //	section area (byte 32+tocLen to the end of the file), every section
@@ -38,21 +40,24 @@ import (
 //	  postings [postingCount]uint32 (genome-wide positions), zero-padded
 //	    to 8 bytes
 //
-// Every section carries its own CRC (covering its padding) so
-// corruption localizes; the header and TOC CRCs make bit rot in the
-// metadata fail closed before any section is trusted, and a file that
-// is not exactly as long as its TOC says is corrupt.
+// Each chromosome's planes carry one CRC. The two seed-table sections
+// carry one CRC per blockSize block (the last block of a section may be
+// short, and the CRCs cover the padding), so a query reads and checks
+// only the blocks its keys touch. The header and TOC CRCs make bit rot
+// in the metadata, block CRCs included, fail closed before any section
+// is trusted, and a file that is not exactly as long as its TOC says is
+// corrupt.
 const (
 	formatMagic   = "CSIX"
-	formatVersion = 2
+	formatVersion = 3
 	headerSize    = 28
 )
 
-// TOC geometry: the fixed bytes of one chromosome record and the
-// genome-wide tail.
+// TOC geometry: the fixed bytes of one chromosome record and of the
+// genome-wide tail before its block checksums.
 const (
 	tocRecordSize = 4 + 8 + 32 + 4
-	tocTailSize   = 8 + 4 + 4
+	tocTailSize   = 8
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
@@ -83,18 +88,23 @@ func planesSize(n int) int { return 8 * ((n+31)/32 + (n+63)/64) }
 // Encode serializes the index to its on-disk byte form. The encoding is
 // fully deterministic — no timestamps, map iteration, or padding
 // garbage — so two builds of the same genome are byte-identical (the
-// build-determinism test pins this).
+// build-determinism test pins this). A loaded index holds its seed
+// table in memory only after Verify, so encoding one that has not been
+// verified is a caller bug and panics.
 func (ix *Index) Encode() []byte {
-	t := &ix.table
-	tocLen := tocTailSize
-	areaSize := align8(4*len(t.starts)) + align8(4*len(t.postings))
+	t := ix.memTable()
+	startsSize, postingsSize := align8(4*len(t.starts)), align8(4*len(t.postings))
+	tocLen := tocTailSize + 4*(blockCount(startsSize)+blockCount(postingsSize))
+	planesTotal := 0
 	for i := range ix.Chroms {
 		tocLen += tocRecordSize + len(ix.Chroms[i].Name)
-		areaSize += planesSize(ix.Chroms[i].SeqLen)
+		planesTotal += planesSize(ix.Chroms[i].SeqLen)
 	}
 	tocLen = align8(tocLen)
 	areaOff := headerSize + tocLen + 4
-	buf := make([]byte, areaOff+areaSize)
+	startsOff := areaOff + planesTotal
+	postingsOff := startsOff + startsSize
+	buf := make([]byte, postingsOff+postingsSize)
 
 	// Sections first, so the TOC can carry their checksums. The buffer
 	// starts zeroed, which is the padding.
@@ -106,9 +116,8 @@ func (ix *Index) Encode() []byte {
 		planeCRCs[i] = crc32.Checksum(buf[off:end], crcTable)
 		off = end
 	}
-	startsEnd := align8(putUint32s(buf, off, t.starts))
-	startsCRC := crc32.Checksum(buf[off:startsEnd], crcTable)
-	postingsCRC := crc32.Checksum(buf[startsEnd:align8(putUint32s(buf, startsEnd, t.postings))], crcTable)
+	putUint32s(buf, startsOff, t.starts)
+	putUint32s(buf, postingsOff, t.postings)
 
 	// Header.
 	h := append(buf[:0], formatMagic...)
@@ -129,11 +138,22 @@ func (ix *Index) Encode() []byte {
 		toc = binary.LittleEndian.AppendUint32(toc, planeCRCs[i])
 	}
 	toc = binary.LittleEndian.AppendUint64(toc, uint64(len(t.postings)))
-	toc = binary.LittleEndian.AppendUint32(toc, startsCRC)
-	binary.LittleEndian.AppendUint32(toc, postingsCRC)
+	toc = appendBlockCRCs(toc, buf[startsOff:postingsOff])
+	appendBlockCRCs(toc, buf[postingsOff:])
 	toc = buf[headerSize : headerSize+tocLen]
 	binary.LittleEndian.PutUint32(buf[headerSize+tocLen:], crc32.Checksum(toc, crcTable))
 	return buf
+}
+
+// appendBlockCRCs appends the CRC of each blockSize block of sec (the
+// last one may be short).
+func appendBlockCRCs(dst, sec []byte) []byte {
+	for len(sec) > 0 {
+		n := min(blockSize, len(sec))
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(sec[:n], crcTable))
+		sec = sec[n:]
+	}
+	return dst
 }
 
 // putUint64s writes ws little-endian at buf[off:] and returns the
@@ -209,13 +229,18 @@ func checkSize(r io.ReaderAt, end int64, exact bool) error {
 	return fmt.Errorf("seedindex: read %d bytes at offset %d: %w", want, end-1, err)
 }
 
-// Read decodes an index from any io.ReaderAt (a file, or a byte slice
-// wrapped in bytes.NewReader) in three reads: the header, the TOC, and
-// the whole section area into one buffer. A probe of the file's extent
-// (checkSize) precedes each allocation, every checksum is verified once,
-// and the seed table's structure is validated in one pass; the
-// sections are then viewed in place. A damaged file fails closed here,
-// never as silently wrong scan output.
+// Read opens an index on any io.ReaderAt (a file, or a byte slice
+// wrapped in bytes.NewReader). It reads and checks the header, the TOC
+// with its block checksums and every chromosome's planes. A probe of
+// the file's extent (checkSize) precedes each allocation sized from the
+// file, and the file must be exactly as long as the TOC says. It reads
+// nothing of the seed
+// table: a query reads the table blocks its keys touch and checks each
+// against the checksums read here before using it, and Verify proves
+// the whole table. The index reads from r for as long as it is queried.
+// A damaged header, TOC or plane fails closed here; a damaged table
+// block fails the query that reads it. Neither becomes silently wrong
+// scan output.
 func Read(r io.ReaderAt) (*Index, error) {
 	var hdr [headerSize]byte
 	if err := readFull(r, hdr[:], 0); err != nil {
@@ -279,77 +304,58 @@ func Read(r io.ReaderAt) (*Index, error) {
 		total += seqLen
 	}
 	postingCount := d.u64()
-	startsCRC, postingsCRC := d.u32(), d.u32()
 	if d.err {
 		return nil, fmt.Errorf("%w: TOC ends before its seed-table record", ErrCorrupt)
-	}
-	if pad := d.buf[d.off:]; len(pad) >= 8 || !allZero(pad) {
-		return nil, fmt.Errorf("%w: %d trailing TOC bytes", ErrCorrupt, len(pad))
 	}
 	if postingCount > total {
 		return nil, fmt.Errorf("%w: %d postings for a %d-base genome", ErrCorrupt, postingCount, total)
 	}
-
-	// Size the section area from the TOC, prove the file is exactly that
-	// long, then read it whole. The buffer is []uint64 so every section
-	// view is aligned.
 	keys := 1 << (2 * uint(seedLen))
 	startsSize, postingsSize := align8(4*(keys+1)), align8(4*int(postingCount))
-	areaSize := startsSize + postingsSize
-	for i := range ix.Chroms {
-		areaSize += planesSize(ix.Chroms[i].SeqLen)
+	startsCRCs, postingsCRCs := d.u32s(blockCount(startsSize)), d.u32s(blockCount(postingsSize))
+	if d.err {
+		return nil, fmt.Errorf("%w: TOC ends before its seed-table block checksums", ErrCorrupt)
 	}
-	if err := checkSize(r, areaOff+int64(areaSize), true); err != nil {
+	if pad := d.buf[d.off:]; len(pad) >= 8 || !allZero(pad) {
+		return nil, fmt.Errorf("%w: %d trailing TOC bytes", ErrCorrupt, len(pad))
+	}
+
+	// Size the section area from the TOC and prove the file is exactly
+	// that long, then read the planes, which end at the table. The
+	// buffer is []uint64 so every plane view is aligned.
+	planesTotal := 0
+	for i := range ix.Chroms {
+		planesTotal += planesSize(ix.Chroms[i].SeqLen)
+	}
+	startsOff := areaOff + int64(planesTotal)
+	postingsOff := startsOff + int64(startsSize)
+	if err := checkSize(r, postingsOff+int64(postingsSize), true); err != nil {
 		return nil, err
 	}
-	area := make([]uint64, areaSize/8)
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(area))), areaSize)
+	planes := make([]uint64, planesTotal/8)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(planes))), planesTotal)
 	if err := readFull(r, raw, areaOff); err != nil {
 		return nil, err
 	}
-
-	// Cut the area into its sections in file order: check each CRC,
-	// then view the words in place.
-	next := 0 // word offset of the next section
-	take := func(size int, crc uint32) (int, bool) {
-		w := next
-		next += size / 8
-		return w, crc32.Checksum(raw[8*w:8*next], crcTable) == crc
-	}
+	w := 0 // word offset of the next chromosome's planes
 	for i := range ix.Chroms {
 		c := &ix.Chroms[i]
 		wc, ac := (c.SeqLen+31)/32, (c.SeqLen+63)/64
-		w, ok := take(planesSize(c.SeqLen), planeCRCs[i])
-		if !ok {
+		if crc32.Checksum(raw[8*w:8*(w+wc+ac)], crcTable) != planeCRCs[i] {
 			return nil, fmt.Errorf("%w: chromosome %q sequence section checksum mismatch", ErrCorrupt, c.Name)
 		}
 		var err error
-		if c.Packed, err = dna.FromWords(view64(area, w, wc), view64(area, w+wc, ac), c.SeqLen); err != nil {
+		if c.Packed, err = dna.FromWords(view64(planes, w, wc), view64(planes, w+wc, ac), c.SeqLen); err != nil {
 			return nil, fmt.Errorf("%w: chromosome %q: %v", ErrCorrupt, c.Name, err)
 		}
+		w += wc + ac
 	}
-	// The uint32 sections end in zero padding; the CRCs cover it, and
-	// requiring it zero keeps the encoding canonical.
-	words32 := func(n, size int, crc uint32, what string) ([]uint32, error) {
-		w, ok := take(size, crc)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
-		}
-		if !allZero(raw[8*w+4*n : 8*next]) {
-			return nil, fmt.Errorf("%w: %s padding is not zero", ErrCorrupt, what)
-		}
-		return view32(area, w, n), nil
-	}
-	var err error
-	if ix.table.starts, err = words32(keys+1, startsSize, startsCRC, "seed starts section"); err != nil {
-		return nil, err
-	}
-	if ix.table.postings, err = words32(int(postingCount), postingsSize, postingsCRC, "seed postings section"); err != nil {
-		return nil, err
-	}
-	maxStart := int64(total) - int64(seedLen)
-	if !ix.table.valid(maxStart) {
-		return nil, fmt.Errorf("%w: seed table malformed (starts not monotone to %d, or a posting list not ascending inside the genome)", ErrCorrupt, postingCount)
+	ix.file = &blockFile{
+		r:        r,
+		starts:   section{name: "seed starts", off: startsOff, size: startsSize, crcs: startsCRCs},
+		postings: section{name: "seed postings", off: postingsOff, size: postingsSize, crcs: postingsCRCs},
+		count:    int(postingCount),
+		maxStart: ix.maxStart(),
 	}
 	return ix, nil
 }
@@ -423,24 +429,8 @@ func view64(area []uint64, w, n int) []uint64 {
 	return out
 }
 
-// view32 returns the n uint32s that start at word w of area.
-func view32(area []uint64, w, n int) []uint32 {
-	if n == 0 {
-		return nil
-	}
-	s := unsafe.Slice((*uint32)(unsafe.Pointer(&area[w])), n)
-	if littleEndian {
-		return s
-	}
-	out := make([]uint32, n)
-	for i, v := range s {
-		out[i] = bits.ReverseBytes32(v)
-	}
-	return out
-}
-
-func allZero(b []byte) bool {
-	for _, x := range b {
+func allZero[T byte | uint32](s []T) bool {
+	for _, x := range s {
 		if x != 0 {
 			return false
 		}
@@ -448,22 +438,36 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// Load opens and decodes an index file.
+// Load opens an index file (see Read). The index keeps the file open
+// to read its seed table from; Close releases it, and so does the
+// file's finalizer once the index is unreachable.
 func Load(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("seedindex: %w", err)
 	}
-	defer f.Close()
 	ix, err := Read(f)
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("seedindex: %s: %w", path, err)
 	}
+	ix.closer = f
 	return ix, nil
 }
 
+// Close releases the file Load opened; a query of the index after Close
+// fails. An index that Build made, or that Read opened on the caller's
+// reader, holds nothing to release.
+func (ix *Index) Close() error {
+	if ix.closer == nil {
+		return nil
+	}
+	return ix.closer.Close()
+}
+
 // tocDecoder cursors over the TOC buffer; out-of-bounds reads set err
-// instead of panicking so the caller reports one clean corruption error.
+// instead of panicking or allocating, so the caller reports one clean
+// corruption error.
 type tocDecoder struct {
 	buf []byte
 	off int
@@ -474,7 +478,7 @@ func (d *tocDecoder) bytes(n int) []byte {
 	if n > len(d.buf)-d.off {
 		d.err = true
 		d.off = len(d.buf)
-		return make([]byte, n)
+		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
@@ -482,9 +486,29 @@ func (d *tocDecoder) bytes(n int) []byte {
 }
 
 func (d *tocDecoder) u32() uint32 {
-	return binary.LittleEndian.Uint32(d.bytes(4))
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
 }
 
 func (d *tocDecoder) u64() uint64 {
-	return binary.LittleEndian.Uint64(d.bytes(8))
+	if b := d.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// u32s decodes n uint32s; it allocates only once the TOC is known to
+// hold them.
+func (d *tocDecoder) u32s(n int) []uint32 {
+	if n > (len(d.buf)-d.off)/4 {
+		d.err, d.off = true, len(d.buf)
+		return nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = d.u32()
+	}
+	return out
 }

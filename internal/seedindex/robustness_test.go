@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/cap-repro/crisprscan/internal/arch"
@@ -57,40 +59,97 @@ func TestTruncatedFileFailsClosed(t *testing.T) {
 }
 
 // TestEveryBitFlipFailsClosed sweeps a single-bit flip across the whole
-// file: the layered checksums (header, TOC, per-section) must catch all
-// of them. This is the strongest form of the "never silently wrong"
-// claim for stored bytes.
+// file: the layered checksums (header, TOC with its block checksums,
+// planes, table blocks) must catch all of them. A flip ahead of the
+// seed table fails Read itself. A flip in a table block fails Verify,
+// and fails with a permanent ErrCorrupt a query that reads every block.
+// No flip changes what a query reports: a narrow query either fails the
+// same way or reports what the intact index reports. This is the
+// strongest form of the "never silently wrong" claim for stored bytes.
 func TestEveryBitFlipFailsClosed(t *testing.T) {
-	_, enc, _ := buildEncoded(t)
+	built, enc, g := buildEncoded(t)
+	startsOff, _ := tableAt(built, enc)
+	// The narrow query is the plus strand of one guide sampled from the
+	// genome: it has a site to lose, and its keys leave a postings block
+	// unread, so the sweep compares its output under flips it does not
+	// read (the checks after the loop fail if either stops holding).
+	specs := querySpecs(t, g, 1, 3, 13)[:1]
+	narrow := func(ix *seedindex.Index) *seedindex.Engine {
+		e, err := seedindex.New(specs, ix, seedindex.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	want, err := scanOwn(narrow(built), built)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("narrow query over the built index: %v, %d sites", err, len(want))
+	}
 	flipped := make([]byte, len(enc))
+	unread := 0 // table flips the narrow query does not read
 	for i := range enc {
 		copy(flipped, enc)
 		flipped[i] ^= 1
-		if _, err := seedindex.Read(bytes.NewReader(flipped)); err == nil {
-			t.Fatalf("bit flip at byte %d/%d loaded successfully", i, len(enc))
+		ix, err := seedindex.Read(bytes.NewReader(flipped))
+		if i < startsOff {
+			if err == nil {
+				t.Fatalf("bit flip at byte %d/%d, ahead of the seed table, opened", i, len(enc))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("bit flip at table byte %d failed Read, which reads no table block: %v", i, err)
+		}
+		if err := ix.Verify(); !errors.Is(err, seedindex.ErrCorrupt) {
+			t.Fatalf("bit flip at byte %d: Verify error %v, want ErrCorrupt", i, err)
+		}
+		_, err = scanOwn(allKeysEngine(t, ix), ix)
+		if !errors.Is(err, seedindex.ErrCorrupt) || scanserve.Classify(err) != scanserve.ClassPermanent {
+			t.Fatalf("bit flip at byte %d: a query reading every block got %v, want a permanent ErrCorrupt", i, err)
+		}
+		got, err := scanOwn(narrow(ix), ix)
+		if err != nil && !errors.Is(err, seedindex.ErrCorrupt) {
+			t.Fatalf("bit flip at byte %d: narrow query error %v, want nil or ErrCorrupt", i, err)
+		}
+		if err == nil {
+			unread++
+			if !slices.Equal(got, want) {
+				t.Fatalf("bit flip at byte %d changed the narrow query's output: %v, want %v", i, got, want)
+			}
 		}
 	}
+	if unread == 0 {
+		t.Fatal("every table flip failed the narrow query, so its output was never compared")
+	}
+	t.Logf("%d of %d table flips fell outside the narrow query's blocks; its output (%d sites) matched on each", unread, len(enc)-startsOff, len(want))
 }
 
 func TestSectionBitFlipIsCorrupt(t *testing.T) {
 	_, enc, _ := buildEncoded(t)
-	// Flip a byte deep in the section area (past header + TOC).
+	// Flip a byte deep in the section area (the postings' last block).
 	mut := append([]byte(nil), enc...)
 	mut[len(mut)-10] ^= 0x40
-	_, err := seedindex.Read(bytes.NewReader(mut))
+	ix, err := seedindex.Read(bytes.NewReader(mut))
+	if err != nil {
+		t.Fatalf("Read, which reads no table block, failed: %v", err)
+	}
+	_, err = scanOwn(allKeysEngine(t, ix), ix)
 	if !errors.Is(err, seedindex.ErrCorrupt) {
-		t.Fatalf("section flip error %v, want ErrCorrupt", err)
+		t.Fatalf("section flip query error %v, want ErrCorrupt", err)
 	}
 	if scanserve.Classify(err) != scanserve.ClassPermanent {
 		t.Fatalf("section flip classified %v, want Permanent", scanserve.Classify(err))
 	}
+	if err := ix.Verify(); !errors.Is(err, seedindex.ErrCorrupt) {
+		t.Fatalf("section flip Verify error %v, want ErrCorrupt", err)
+	}
 }
 
-// TestVersionSkewFailsClosed covers a future version and version 1,
-// whose header layout v2 kept, so a v1 file is refused by its version.
+// TestVersionSkewFailsClosed covers a future version and versions 1 and
+// 2, whose header layout v3 kept, so their files are refused by version.
 func TestVersionSkewFailsClosed(t *testing.T) {
 	_, enc, _ := buildEncoded(t)
-	for _, version := range []uint32{1, 99} {
+	for _, version := range []uint32{1, 2, 99} {
 		mut := append([]byte(nil), enc...)
 		// Set the version field and re-seal the header checksum so the
 		// failure is attributed to the version, not to corruption.
@@ -273,21 +332,64 @@ func engineFor(t *testing.T, ix *seedindex.Index) *seedindex.Engine {
 	return e
 }
 
-// TestFaultyReaderAt injects I/O failures at every call index: loads
-// must fail with the injected error in the chain, and a transient-
-// marked cause must classify transient (the scan service will retry the
-// load, which is exactly right for flaky storage).
+// allKeysEngine builds a one-guide engine whose query resolves every key
+// of a seed-length-4 index, so it reads every table block: a 20-nt
+// spacer makes five 4-base fragments, and a budget of 20 gives each a
+// Hamming radius of 4.
+func allKeysEngine(t *testing.T, ix *seedindex.Index) *seedindex.Engine {
+	t.Helper()
+	if ix.SeedLen != seedindex.MinSeedLen {
+		t.Fatalf("allKeysEngine needs seed length %d, index has %d", seedindex.MinSeedLen, ix.SeedLen)
+	}
+	spec := arch.PatternSpec{
+		Spacer: dna.MustParsePattern("ACGTACGTACGTACGTACGT"),
+		PAM:    dna.MustParsePattern("NGG"),
+		K:      20,
+	}
+	e, err := seedindex.New([]arch.PatternSpec{spec}, ix, seedindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// scanOwn scans the index's own genome with e and returns every report
+// in order, tagged with its chromosome.
+func scanOwn(e arch.Engine, ix *seedindex.Index) ([][2]int, error) {
+	g := ix.Genome()
+	var out [][2]int
+	for i := range g.Chroms {
+		if err := e.ScanChrom(context.Background(), &g.Chroms[i], func(r automata.Report) {
+			out = append(out, [2]int{i, r.End})
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestFaultyReaderAt injects I/O failures at every call index of an
+// open and of a query that reads every table block: the open or the
+// query must fail with the injected error in the chain, and a
+// transient-marked cause must classify transient (the scan service will
+// retry, which is exactly right for flaky storage).
 func TestFaultyReaderAt(t *testing.T) {
 	_, enc, _ := buildEncoded(t)
 
-	// Count the calls a clean load takes, then fail each one in turn.
+	// Count the calls a clean open and query take, then fail each one in
+	// turn.
 	probe := &faultinject.ReaderAt{Inner: bytes.NewReader(enc)}
-	if _, err := seedindex.Read(probe); err != nil {
+	ix, err := seedindex.Read(probe)
+	if err != nil {
 		t.Fatalf("clean load through pass-through wrapper: %v", err)
 	}
+	opened := probe.Calls()
+	if _, err := scanOwn(allKeysEngine(t, ix), ix); err != nil {
+		t.Fatalf("clean query through pass-through wrapper: %v", err)
+	}
 	total := probe.Calls()
-	if total < 3 {
-		t.Fatalf("expected at least header+TOC+section reads, got %d", total)
+	if opened < 3 || total <= opened {
+		t.Fatalf("expected at least header+TOC+planes reads and then table reads, got %d and %d", opened, total-opened)
 	}
 	for call := 1; call <= total; call++ {
 		r := &faultinject.ReaderAt{
@@ -295,9 +397,12 @@ func TestFaultyReaderAt(t *testing.T) {
 			FailOnCall: call,
 			Err:        faultinject.Transient(faultinject.ErrInjected),
 		}
-		_, err := seedindex.Read(r)
+		ix, err := seedindex.Read(r)
 		if err == nil {
-			t.Fatalf("injected failure on call %d/%d loaded successfully", call, total)
+			_, err = scanOwn(allKeysEngine(t, ix), ix)
+		}
+		if err == nil {
+			t.Fatalf("injected failure on call %d/%d went unnoticed", call, total)
 		}
 		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("call %d: injected cause lost from chain: %v", call, err)
@@ -306,6 +411,203 @@ func TestFaultyReaderAt(t *testing.T) {
 			t.Fatalf("call %d: transient fault classified %v: %v", call, scanserve.Classify(err), err)
 		}
 	}
+}
+
+// countingReaderAt counts the ReadAt calls and bytes that reach r.
+type countingReaderAt struct {
+	r            io.ReaderAt
+	calls, bytes int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.calls++
+	c.bytes += len(p)
+	return c.r.ReadAt(p, off)
+}
+
+// querySpecs samples n guides of g and returns their plus- and
+// minus-strand specs at budget k.
+func querySpecs(t *testing.T, g *genome.Genome, n, k int, seed int64) []arch.PatternSpec {
+	t.Helper()
+	pam := dna.MustParsePattern("NGG")
+	raw := genome.SampleGuides(g, n, 20, pam, seed)
+	if len(raw) < n {
+		t.Fatalf("sampled %d/%d guides", len(raw), n)
+	}
+	var specs []arch.PatternSpec
+	for i, spacer := range raw {
+		plus := arch.PatternSpec{Spacer: dna.PatternFromSeq(spacer), PAM: pam, K: k, Code: int32(2 * i)}
+		specs = append(specs, plus, plus.MinusSpec(int32(2*i+1)))
+	}
+	return specs
+}
+
+// TestQueryReadsOnlyItsBlocks pins how much of the file a query reads.
+// On a 6 × 1 Mbp genome, the size of the benchmark's index-queries
+// input, a 4-guide query at k = 3 resolves about 500 keys and reads
+// under a tenth of the 30 MB file. A query that resolves every key of a
+// table reads each of its two sections in one ReadAt.
+func TestQueryReadsOnlyItsBlocks(t *testing.T) {
+	g := genome.Synthesize(genome.SynthConfig{Seed: 31, NumChroms: 6, ChromLen: 1_000_000, NRunRate: 40, NRunLen: 30})
+	built, err := seedindex.Build(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := built.Encode()
+	cr := &countingReaderAt{r: bytes.NewReader(enc)}
+	ix, err := seedindex.Read(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := querySpecs(t, g, 4, 3, 32)
+	e, err := seedindex.New(specs, ix, seedindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := cr.bytes
+	got, err := scanOwn(e, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := cr.bytes - opened
+	t.Logf("open read %d bytes; the query read %d bytes of the %d-byte file (%.1f%%) in %d calls",
+		opened, read, len(enc), 100*float64(read)/float64(len(enc)), cr.calls)
+	if read*10 > len(enc) {
+		t.Errorf("a 4-guide, k = 3 query read %d of %d bytes, more than a tenth", read, len(enc))
+	}
+	ref, err := seedindex.New(specs, built, seedindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := scanOwn(ref, built); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("the loaded index reports %d sites (%v), the built one %d", len(got), err, len(want))
+	}
+
+	// Every key: seed length 6 makes three fragments of a 20-nt spacer,
+	// and a budget of 18 gives each a radius of 6, all 4096 keys.
+	small := genome.Synthesize(genome.SynthConfig{Seed: 33, NumChroms: 2, ChromLen: 25_000})
+	built, err = seedindex.Build(small, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr = &countingReaderAt{r: bytes.NewReader(built.Encode())}
+	if ix, err = seedindex.Read(cr); err != nil {
+		t.Fatal(err)
+	}
+	spec := arch.PatternSpec{Spacer: dna.MustParsePattern("ACGTACGTACGTACGTACGT"), PAM: dna.MustParsePattern("NGG"), K: 18}
+	if e, err = seedindex.New([]arch.PatternSpec{spec}, ix, seedindex.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	calls := cr.calls
+	if _, err := scanOwn(e, ix); err != nil {
+		t.Fatal(err)
+	}
+	if n := cr.calls - calls; n > 2 {
+		t.Errorf("a query resolving all 4096 keys made %d ReadAt calls, want one per section", n)
+	}
+}
+
+// TestResolveStopsOnCancel: the batch resolve checks the scan's ctx
+// before each read, so a canceled query reads no table block and
+// returns the cancellation.
+func TestResolveStopsOnCancel(t *testing.T) {
+	_, enc, _ := buildEncoded(t)
+	cr := &countingReaderAt{r: bytes.NewReader(enc)}
+	ix, err := seedindex.Read(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opened := cr.calls
+	if _, err := seedindex.Resolve(ctx, ix, []uint32{0, 1, 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("resolve under a canceled ctx: error %v, want context.Canceled", err)
+	}
+	if n := cr.calls - opened; n != 0 {
+		t.Fatalf("a canceled resolve made %d reads", n)
+	}
+}
+
+// TestRewriteAfterOpenFailsQuery: a loaded index reads its table from
+// the file as queries need it, so a block rewritten after Load fails the
+// next engine's query with ErrCorrupt instead of reaching it unchecked.
+// An engine that resolved its lists before the rewrite keeps the checked
+// copies, and after Close a query fails.
+func TestRewriteAfterOpenFailsQuery(t *testing.T) {
+	built, enc, _ := buildEncoded(t)
+	_, postingsOff := tableAt(built, enc)
+	path := t.TempDir() + "/g.csix"
+	if err := built.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := seedindex.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scanOwn(allKeysEngine(t, built), built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := allKeysEngine(t, ix)
+	if got, err := scanOwn(early, ix); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("query before the rewrite: %v, %d sites, want %d", err, len(got), len(want))
+	}
+
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{enc[postingsOff] ^ 0x10}, int64(postingsOff)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scanOwn(allKeysEngine(t, ix), ix); !errors.Is(err, seedindex.ErrCorrupt) {
+		t.Fatalf("query after the rewrite: error %v, want ErrCorrupt", err)
+	}
+	if got, err := scanOwn(early, ix); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("engine resolved before the rewrite: %v, %d sites, want %d", err, len(got), len(want))
+	}
+
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scanOwn(allKeysEngine(t, ix), ix); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("query after Close: error %v, want os.ErrClosed", err)
+	}
+}
+
+// TestConcurrentQueriesShareALoadedIndex: engines on one loaded index
+// read its file at once, two goroutines share one engine's first
+// resolve, and Verify runs alongside them. Every query must report what
+// the built index reports (run under -race).
+func TestConcurrentQueriesShareALoadedIndex(t *testing.T) {
+	built, enc, _ := buildEncoded(t)
+	want, err := scanOwn(allKeysEngine(t, built), built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := seedindex.Read(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := allKeysEngine(t, ix)
+	engines := []*seedindex.Engine{shared, shared, allKeysEngine(t, ix), allKeysEngine(t, ix)}
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := scanOwn(e, ix); err != nil || !slices.Equal(got, want) {
+				t.Errorf("concurrent query: %v, %d sites, want %d", err, len(got), len(want))
+			}
+		}()
+	}
+	if err := ix.Verify(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
 }
 
 // TestLoadMissingFile pins the plain-I/O error path of Load.

@@ -29,6 +29,7 @@ package seedindex
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 
 	"github.com/cap-repro/crisprscan/internal/dna"
 	"github.com/cap-repro/crisprscan/internal/genome"
@@ -54,15 +55,20 @@ const MaxGenomeLen = 1<<32 - 1
 
 // Index is a loaded (or freshly built) genome seed index: per
 // chromosome, the packed 2-bit sequence, plus one genome-wide seed
-// table. It is immutable after construction and safe to share across
-// concurrent scans — the scanserve genome cache keeps one per reference.
+// table. A built index holds its table in memory; a loaded one reads
+// table blocks from its file as queries need them (and holds the whole
+// table after Verify). Scans never change it, so it is safe to share
+// across concurrent scans — the scanserve genome cache keeps one per
+// reference.
 type Index struct {
 	// SeedLen is the k-mer width of the seed table.
 	SeedLen int
 	// Chroms holds the per-chromosome sections in genome order.
 	Chroms []ChromIndex
 
-	table  seedTable
+	table  seedTable  // the whole table in memory: built, or read by Verify
+	file   *blockFile // a loaded index's table reader; nil for a built one
+	closer io.Closer  // the file Load opened
 	byName map[string]int
 }
 
@@ -96,6 +102,15 @@ type seedTable struct {
 // lookup returns the posting list (seed start positions) for key.
 func (t *seedTable) lookup(key uint32) []uint32 {
 	return t.postings[t.starts[key]:t.starts[key+1]]
+}
+
+// lists returns the posting list of each key.
+func (t *seedTable) lists(keys []uint32) [][]uint32 {
+	out := make([][]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = t.lookup(k)
+	}
+	return out
 }
 
 // buildTable indexes every fully concrete seedLen-mer of seqs by its
@@ -243,11 +258,31 @@ func (ix *Index) chrom(name string) *ChromIndex {
 	return &ix.Chroms[i]
 }
 
-// Keys returns the number of distinct seed keys in the table.
+// memTable returns the whole seed table, which a loaded index holds
+// only after Verify; asking for it before is a caller bug.
+func (ix *Index) memTable() *seedTable {
+	if ix.table.starts == nil {
+		panic("seedindex: a loaded index holds its whole seed table only after Verify")
+	}
+	return &ix.table
+}
+
+// maxStart is the last genome-wide position a seed can start at.
+func (ix *Index) maxStart() int64 {
+	var total int64
+	for i := range ix.Chroms {
+		total += int64(ix.Chroms[i].SeqLen)
+	}
+	return total - int64(ix.SeedLen)
+}
+
+// Keys returns the number of distinct seed keys in the table. A loaded
+// index must be verified first (see Verify).
 func (ix *Index) Keys() int {
+	starts := ix.memTable().starts
 	n := 0
-	for k := 1; k < len(ix.table.starts); k++ {
-		if ix.table.starts[k] != ix.table.starts[k-1] {
+	for k := 1; k < len(starts); k++ {
+		if starts[k] != starts[k-1] {
 			n++
 		}
 	}
@@ -256,7 +291,12 @@ func (ix *Index) Keys() int {
 
 // Postings returns the total posting-list length of the table: the
 // number of concrete seeds in the genome.
-func (ix *Index) Postings() int { return len(ix.table.postings) }
+func (ix *Index) Postings() int {
+	if ix.file != nil {
+		return ix.file.count
+	}
+	return len(ix.table.postings)
+}
 
 // ValidateGenome checks that the index exactly describes g: same
 // chromosomes in the same order, same lengths, same content hashes. A

@@ -3,7 +3,10 @@ package seedindex
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,10 +204,22 @@ func TestBuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ix1.Encode(), ix2.Encode()) {
+	enc := ix1.Encode()
+	if !bytes.Equal(enc, ix2.Encode()) {
 		t.Fatal("two builds of the same genome encode differently")
 	}
+	// Pin the v3 encoding itself: a layout change must move the version.
+	if v := binary.LittleEndian.Uint32(enc[4:8]); v != 3 {
+		t.Fatalf("encoded format version %d, want 3", v)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != v3Digest {
+		t.Fatalf("v3 encoding changed: SHA-256 %s, want %s", got, v3Digest)
+	}
 }
+
+// v3Digest is the SHA-256 of the version-3 encoding of
+// testGenome(t, 2, 4000) at the default seed length.
+const v3Digest = "e5b722e6abd6c648028866205ccedf21eafde9c0cd44a1212b7ecbee1382e546"
 
 // TestValidateGenomeDetectsDrift mutates one base and expects the
 // content hash to fail closed.
@@ -307,6 +322,32 @@ func TestPigeonholeFragments(t *testing.T) {
 				t.Fatalf("pigeonhole violated: J=%d r=%d K=%d", j, r, k)
 			}
 		}
+	}
+}
+
+// TestSlotKeys: the engine's key set is every variant of every plan,
+// ascending without repeats, and each fragment's slots point at its
+// variants in it.
+func TestSlotKeys(t *testing.T) {
+	g := testGenome(t, 1, 3000)
+	e, err := New(sampleSpecs(t, g, 5, 3), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []uint32
+	for _, plan := range e.plans {
+		for _, fr := range plan.frags {
+			for v, k := range fr.variants {
+				if e.keys[fr.slots[v]] != k {
+					t.Fatalf("variant %d of a fragment is key %d, its slot holds %d", v, k, e.keys[fr.slots[v]])
+				}
+				all = append(all, k)
+			}
+		}
+	}
+	slices.Sort(all)
+	if all = slices.Compact(all); !slices.Equal(all, e.keys) {
+		t.Fatalf("key set has %d keys, the plans %d distinct variants", len(e.keys), len(all))
 	}
 }
 

@@ -104,6 +104,10 @@ func TestSeedIndexBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A loaded index holds its whole seed table only once verified.
+	if err := reloaded.Verify(); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(reloaded.Encode(), ix1.Encode()) {
 		t.Fatal("reload→re-encode is not byte-identical")
 	}
