@@ -112,3 +112,23 @@ func TestRunIndexCheckpointNeedsGenome(t *testing.T) {
 		t.Fatalf("want checkpoint/genome coupling error, got %v", err)
 	}
 }
+
+// TestRunIndexRejectsRegion: a region is scanned as a chromosome of its
+// own, which the index would blame as a stale reference. -index with
+// -region is refused by name, with and without -genome, before
+// anything is loaded.
+func TestRunIndexRejectsRegion(t *testing.T) {
+	genomePath, guidesPath, _ := cliFixture(t, 815)
+	idxPath := indexFixture(t, genomePath)
+	for _, withGenome := range []bool{false, true} {
+		cfg := &config{indexPath: idxPath, guidesPath: guidesPath, k: 2, pam: "NGG", workers: 1,
+			region: "chr1:0-1000", outPath: filepath.Join(t.TempDir(), "out.tsv")}
+		if withGenome {
+			cfg.genomePath = genomePath
+		}
+		err := run(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), "-region") || errors.Is(err, seedindex.ErrStale) {
+			t.Fatalf("-genome=%v: error %v, want a refusal naming -region that is not ErrStale", withGenome, err)
+		}
+	}
+}

@@ -230,6 +230,11 @@ func run(ctx context.Context, cfg *config) (err error) {
 		if cfg.bulge > 0 {
 			return fmt.Errorf("-index does not support -bulge")
 		}
+		if cfg.region != "" {
+			// The region would be scanned as a chromosome of its own,
+			// which the index would reject as a stale reference.
+			return fmt.Errorf("-index does not support -region")
+		}
 		switch engine {
 		case "", crisprscan.EngineSeedIndex, crisprscan.EngineHyperscan: // explicit or the flag default
 			engine = crisprscan.EngineSeedIndex

@@ -56,10 +56,11 @@ func sampleCas12a(g *crisprscan.Genome, n int) []crisprscan.Guide {
 	const spacerLen = 23
 	tttv := dna.MustParsePattern("TTTV")
 	var guides []crisprscan.Guide
-	for _, c := range g.Chroms {
-		for i := 0; i+4+spacerLen <= len(c.Seq) && len(guides) < n; i += 997 { // stride for diversity
-			spacer := c.Seq[i+4 : i+4+spacerLen]
-			if tttv.Matches(c.Seq[i:i+4]) && !spacer.HasAmbiguous() {
+	for ci := range g.Chroms {
+		seq := g.Chroms[ci].Bases()
+		for i := 0; i+4+spacerLen <= len(seq) && len(guides) < n; i += 997 { // stride for diversity
+			spacer := seq[i+4 : i+4+spacerLen]
+			if tttv.Matches(seq[i:i+4]) && !spacer.HasAmbiguous() {
 				guides = append(guides, crisprscan.Guide{
 					Name:   fmt.Sprintf("cas12a-g%d", len(guides)),
 					Spacer: spacer.String(),

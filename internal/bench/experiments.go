@@ -38,12 +38,9 @@ func sliceWorkload(w *Workload, capBases int) (*Workload, float64) {
 	if total <= capBases {
 		return w, 1
 	}
-	c := w.Genome.Chroms[0]
-	n := capBases
-	if n > len(c.Seq) {
-		n = len(c.Seq)
-	}
-	sub := genome.New(genome.Chromosome{Name: c.Name, Seq: c.Seq[:n]})
+	c := &w.Genome.Chroms[0]
+	n := min(capBases, c.Packed.Len())
+	sub := genome.New(genome.Chromosome{Name: c.Name, Seq: c.Bases()[:n]})
 	return &Workload{Genome: sub, Guides: w.Guides, PAM: w.PAM, K: w.K, Seed: w.Seed}, float64(total) / float64(n)
 }
 

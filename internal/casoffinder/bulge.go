@@ -52,7 +52,7 @@ func BulgeScan(c *genome.Chromosome, specs []BulgeSpec, opt BulgeOptions) ([]Bul
 		}
 	}
 	pamRC := opt.PAM.ReverseComplement()
-	seq := c.Seq
+	seq := c.Bases()
 	var hits []BulgeHit
 	// Plus strand: segment then PAM; scan PAM start positions.
 	for pamStart := 0; pamStart+len(opt.PAM) <= len(seq); pamStart++ {

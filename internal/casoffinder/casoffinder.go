@@ -164,8 +164,9 @@ func codeOf(b dna.Base) int {
 // through the arch.ChunkScan worker pool, which checks ctx between
 // chunks (so cancellation latency is bounded by arch.DefaultChunk
 // positions) and isolates worker panics into errors naming the chunk.
+// The PAM test reads the chromosome's bytes, taken once per scan.
 func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	total := len(c.Seq) - e.siteLen + 1
+	total := c.Packed.Len() - e.siteLen + 1
 	if total <= 0 {
 		return nil
 	}
@@ -173,6 +174,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 	if workers > runtime.NumCPU() {
 		workers = runtime.NumCPU()
 	}
+	seq := c.Bases()
 	chunks, err := arch.ChunkScan(ctx, e.Name()+" "+c.Name, workers, total, arch.DefaultChunk, e.rec,
 		//crisprlint:hotpath
 		func(lo, hi int, out *[]automata.Report) error {
@@ -180,7 +182,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 				h(lo, hi)
 			}
 			var hits, verifs int64
-			*out, hits, verifs = e.scanSpan(c, lo, hi)
+			*out, hits, verifs = e.scanSpan(c.Packed, seq, lo, hi)
 			e.rec.Add(metrics.CounterCandidateWindows, int64(hi-lo))
 			e.rec.Add(metrics.CounterPrefilterHits, hits)
 			e.rec.Add(metrics.CounterVerifications, verifs)
@@ -203,11 +205,11 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 // caller flushes them to the metrics recorder once per chunk.
 //
 //crisprlint:hotpath
-func (e *Engine) scanSpan(c *genome.Chromosome, lo, hi int) (out []automata.Report, hits, verifs int64) {
+func (e *Engine) scanSpan(packed *dna.Packed, seq dna.Seq, lo, hi int) (out []automata.Report, hits, verifs int64) {
 	for p := lo; p < hi; p++ {
 		for gi := range e.groups {
 			var h, v int64
-			out, h, v = e.scanGroup(&e.groups[gi], c, p, out)
+			out, h, v = e.scanGroup(&e.groups[gi], packed, seq, p, out)
 			hits += h
 			verifs += v
 		}
@@ -216,11 +218,10 @@ func (e *Engine) scanSpan(c *genome.Chromosome, lo, hi int) (out []automata.Repo
 }
 
 //crisprlint:hotpath
-func (e *Engine) scanGroup(g *group, c *genome.Chromosome, p int, out []automata.Report) ([]automata.Report, int64, int64) {
+func (e *Engine) scanGroup(g *group, packed *dna.Packed, seq dna.Seq, p int, out []automata.Report) ([]automata.Report, int64, int64) {
 	if len(g.guides) == 0 {
 		return out, 0, 0
 	}
-	seq := c.Seq
 	// Step 1: PAM test (cheap rejection, as in Cas-OFFinder).
 	for i := range g.pamT {
 		if !g.pamT[i][codeOf(seq[p+g.pamOff+i])] {
@@ -230,7 +231,7 @@ func (e *Engine) scanGroup(g *group, c *genome.Chromosome, p int, out []automata
 	// Step 2: per-guide packed comparison. Any ambiguous base in the
 	// spacer window disqualifies the site for every guide, matching the
 	// dead-symbol semantics of the automata engines.
-	codes, amb := c.Packed.Window(p+g.spacerOff, e.spacerLen)
+	codes, amb := packed.Window(p+g.spacerOff, e.spacerLen)
 	if amb != 0 {
 		return out, 1, 0
 	}

@@ -96,7 +96,7 @@ func (e *Engine) Name() string { return "casot" }
 //
 //crisprlint:hotpath
 func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	seq := c.Seq
+	seq := c.Bases()
 	spacerLen := len(e.specs[0].Spacer)
 	site := e.specs[0].SiteLen()
 	windows := len(seq) - site + 1

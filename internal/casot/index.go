@@ -68,7 +68,7 @@ func (e *IndexEngine) Name() string { return "casot-index" }
 // arch.DefaultChunk positions, both while indexing and while extending
 // candidates, and emits as it goes.
 func (e *IndexEngine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	seq := c.Seq
+	seq := c.Bases()
 	spacerLen := len(e.specs[0].Spacer)
 	site := e.specs[0].SiteLen()
 	s := e.opt.SeedLen

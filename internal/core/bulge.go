@@ -83,12 +83,13 @@ func SearchBulge(g *genome.Genome, guides []dna.Pattern, p BulgeParams) ([]Bulge
 	seen := map[string]bool{}
 	for ci := range g.Chroms {
 		c := &g.Chroms[ci]
+		seq := c.Bases()
 		var resolveErr error
-		sim.Scan(automata.SymbolsOfSeq(c.Seq), func(r automata.Report) {
+		sim.Scan(automata.SymbolsOfSeq(seq), func(r automata.Report) {
 			if resolveErr != nil {
 				return
 			}
-			site, err := resolveBulge(c, r, guides, pam, p)
+			site, err := resolveBulge(c.Name, seq, r, guides, pam, p)
 			if err != nil {
 				resolveErr = err
 				return
@@ -120,7 +121,7 @@ func SearchBulge(g *genome.Genome, guides []dna.Pattern, p BulgeParams) ([]Bulge
 // length and cost. The automaton guarantees some feasible alignment
 // exists; the resolver picks the one with the fewest bulges (then fewest
 // mismatches).
-func resolveBulge(c *genome.Chromosome, ev automata.Report, guides []dna.Pattern, pam dna.Pattern, p BulgeParams) (BulgeSite, error) {
+func resolveBulge(chrom string, seq dna.Seq, ev automata.Report, guides []dna.Pattern, pam dna.Pattern, p BulgeParams) (BulgeSite, error) {
 	guide, strand := report.DecodeCode(ev.Code)
 	if guide < 0 || guide >= len(guides) {
 		return BulgeSite{}, fmt.Errorf("core: bulge event code %d out of range", ev.Code)
@@ -140,7 +141,7 @@ func resolveBulge(c *genome.Chromosome, ev automata.Report, guides []dna.Pattern
 			if pos < 0 {
 				continue
 			}
-			window := c.Seq[pos : pos+winLen]
+			window := seq[pos : pos+winLen]
 			oriented := window
 			if strand == '-' {
 				oriented = window.ReverseComplement()
@@ -151,14 +152,14 @@ func resolveBulge(c *genome.Chromosome, ev automata.Report, guides []dna.Pattern
 			}
 			if subs, ok := align.Edit(spacer, seg, p.MaxMismatches, gaps); ok {
 				return BulgeSite{
-					Guide: guide, Chrom: c.Name, Pos: pos, Len: winLen,
+					Guide: guide, Chrom: chrom, Pos: pos, Len: winLen,
 					Strand: strand, Mismatches: subs, Bulges: gaps,
 					SiteSeq: oriented.String(),
 				}, nil
 			}
 		}
 	}
-	return BulgeSite{}, fmt.Errorf("core: could not re-align bulge event %+v on %s (engine/resolver mismatch)", ev, c.Name)
+	return BulgeSite{}, fmt.Errorf("core: could not re-align bulge event %+v on %s (engine/resolver mismatch)", ev, chrom)
 }
 
 // BulgeElapsed wraps SearchBulge with wall-clock measurement for the

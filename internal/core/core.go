@@ -84,7 +84,8 @@ type Params struct {
 	// Region restricts an in-memory search to "chrom" or
 	// "chrom:start-end" (0-based half-open). Only windows entirely
 	// inside the region are reported; positions stay in full-chromosome
-	// coordinates. The streaming searches ignore it.
+	// coordinates. The streaming searches ignore it. EngineSeedIndex
+	// bound to a SeedIndex refuses it.
 	Region string
 	// PlusStrandOnly restricts the search to the forward strand (both
 	// strands is the default and the paper's setting).
@@ -370,7 +371,8 @@ func prepare(guides []dna.Pattern, p *Params) (*search, error) {
 // into col, so the clock is read per phase rather than per event. An
 // aborted scan verifies nothing.
 func (s *search) chrom(ctx context.Context, c *genome.Chromosome, col *report.Collector) error {
-	s.prog.StartChrom(c.Name, int64(len(c.Seq)))
+	n := c.Packed.Len()
+	s.prog.StartChrom(c.Name, int64(n))
 	endSpan := s.rec.TraceSpan("scan " + c.Name)
 	s.events = s.events[:0]
 	swScan := metrics.NewStopwatch()
@@ -399,10 +401,10 @@ func (s *search) chrom(ctx context.Context, c *genome.Chromosome, col *report.Co
 	// Bytes are counted here, per completed chromosome — never per
 	// chunk, where overlap regions would double-count (see the
 	// accounting regression tests).
-	s.stats.BytesScanned += len(c.Seq)
-	s.rec.Add(metrics.CounterBytesScanned, int64(len(c.Seq)))
+	s.stats.BytesScanned += n
+	s.rec.Add(metrics.CounterBytesScanned, int64(n))
 	if s.model != nil {
-		b := s.model.EstimateBreakdown(len(c.Seq), events)
+		b := s.model.EstimateBreakdown(n, events)
 		s.rec.AddModeledSeconds("transfer", b.Transfer)
 		s.rec.AddModeledSeconds("kernel", b.Kernel)
 		s.rec.AddModeledSeconds("report", b.Report)
@@ -438,6 +440,11 @@ func Search(g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
 // and stats of the chromosomes completed before the abort, alongside an
 // error wrapping context.Canceled / context.DeadlineExceeded.
 func SearchContext(ctx context.Context, g *genome.Genome, guides []dna.Pattern, p Params) (*Result, error) {
+	if p.Region != "" && p.SeedIndex != nil && p.Engine == EngineSeedIndex {
+		// A region is scanned as a new chromosome cut from the slice,
+		// which a bound index would reject as a stale reference.
+		return nil, fmt.Errorf("core: Region is not supported with a bound SeedIndex; scan the whole genome or drop the index")
+	}
 	s, err := newSearch(guides, &p)
 	if err != nil {
 		return nil, err

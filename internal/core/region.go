@@ -55,13 +55,14 @@ func (r Region) Slice(g *genome.Genome) (*genome.Genome, int, error) {
 	if c == nil {
 		return nil, 0, fmt.Errorf("core: region chromosome %q not in genome", r.Chrom)
 	}
+	n := c.Packed.Len()
 	start, end := r.Start, r.End
-	if end == 0 || end > len(c.Seq) {
-		end = len(c.Seq)
+	if end == 0 || end > n {
+		end = n
 	}
 	if start >= end {
-		return nil, 0, fmt.Errorf("core: region %s:%d-%d outside chromosome (len %d)", r.Chrom, r.Start, r.End, len(c.Seq))
+		return nil, 0, fmt.Errorf("core: region %s:%d-%d outside chromosome (len %d)", r.Chrom, r.Start, r.End, n)
 	}
-	sub := genome.New(genome.Chromosome{Name: c.Name, Seq: c.Seq[start:end]})
+	sub := genome.New(genome.Chromosome{Name: c.Name, Seq: c.Bases()[start:end]})
 	return sub, start, nil
 }

@@ -15,11 +15,26 @@ import (
 	"github.com/cap-repro/crisprscan/internal/fasta"
 )
 
-// Chromosome is one reference sequence with its packed representation.
+// Chromosome is one reference sequence. Packed, the 2-bit planes, is
+// the sequence every scan, verify and render reads; Seq, one byte per
+// base, is filled by FASTA ingest and may be nil (Index.Genome in
+// internal/seedindex returns planes-only chromosomes). Code that reads
+// bytes calls Bases.
 type Chromosome struct {
 	Name   string
 	Seq    dna.Seq
 	Packed *dna.Packed
+}
+
+// Bases returns the chromosome's base codes: Seq when it is set, else a
+// fresh unpack of the planes. The engines that compare bytes call it
+// once per scan, so a planes-only chromosome's unpack is charged to
+// that scan.
+func (c *Chromosome) Bases() dna.Seq {
+	if c.Seq != nil || c.Packed == nil {
+		return c.Seq
+	}
+	return c.Packed.Unpack()
 }
 
 // Genome is an ordered set of chromosomes.
@@ -29,14 +44,15 @@ type Genome struct {
 }
 
 // New builds a Genome from named sequences. The packed form is computed
-// eagerly; engines rely on it being present.
+// eagerly from Seq where it is missing; engines rely on it being
+// present.
 func New(chroms ...Chromosome) *Genome {
 	g := &Genome{Chroms: chroms}
 	for i := range g.Chroms {
 		if g.Chroms[i].Packed == nil {
 			g.Chroms[i].Packed = dna.Pack(g.Chroms[i].Seq)
 		}
-		g.total += len(g.Chroms[i].Seq)
+		g.total += g.Chroms[i].Packed.Len()
 	}
 	return g
 }
@@ -72,8 +88,9 @@ func LoadFasta(path string) (*Genome, error) {
 // ToFasta renders the genome as FASTA records.
 func (g *Genome) ToFasta() []*fasta.Record {
 	recs := make([]*fasta.Record, len(g.Chroms))
-	for i, c := range g.Chroms {
-		recs[i] = &fasta.Record{ID: c.Name, Seq: []byte(c.Seq.String())}
+	for i := range g.Chroms {
+		c := &g.Chroms[i]
+		recs[i] = &fasta.Record{ID: c.Name, Seq: []byte(c.Bases().String())}
 	}
 	return recs
 }
@@ -98,10 +115,10 @@ func (g *Genome) Window(chrom string, pos, n int) (dna.Seq, error) {
 	if c == nil {
 		return nil, fmt.Errorf("genome: no chromosome %q", chrom)
 	}
-	if pos < 0 || pos+n > len(c.Seq) {
-		return nil, fmt.Errorf("genome: window [%d,%d) out of range for %s (len %d)", pos, pos+n, chrom, len(c.Seq))
+	if pos < 0 || pos+n > c.Packed.Len() {
+		return nil, fmt.Errorf("genome: window [%d,%d) out of range for %s (len %d)", pos, pos+n, chrom, c.Packed.Len())
 	}
-	return c.Seq[pos : pos+n], nil
+	return c.Bases()[pos : pos+n], nil
 }
 
 // String summarizes the genome for logs.
@@ -110,7 +127,7 @@ func (g *Genome) String() string {
 	fmt.Fprintf(&sb, "genome{%d chroms, %d bp", len(g.Chroms), g.total)
 	for i, c := range g.Chroms {
 		if i < 4 {
-			fmt.Fprintf(&sb, "; %s=%d", c.Name, len(c.Seq))
+			fmt.Fprintf(&sb, "; %s=%d", c.Name, c.Packed.Len())
 		}
 	}
 	if len(g.Chroms) > 4 {

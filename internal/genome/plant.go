@@ -28,8 +28,12 @@ type PlantPlan map[int]int
 // Plant writes off-target sites for each guide into g according to plan,
 // alternating strands, and returns the ground truth. Sites never overlap
 // each other. The PAM written is a uniformly drawn concrete member of
-// pam. Plant mutates g's sequences and repacks the affected chromosomes.
+// pam. Plant mutates g's sequences and repacks the affected chromosomes;
+// a chromosome that carries only its planes gets its Seq unpacked first.
 func Plant(g *Genome, guides []dna.Seq, pam dna.Pattern, plan PlantPlan, seed int64) ([]PlantedSite, error) {
+	for i := range g.Chroms {
+		g.Chroms[i].Seq = g.Chroms[i].Bases()
+	}
 	rng := rand.New(rand.NewSource(seed))
 	used := make(map[string][]span, len(g.Chroms))
 	var sites []PlantedSite

@@ -123,17 +123,21 @@ func plantNRuns(rng *rand.Rand, seq dna.Seq, cfg SynthConfig) {
 func SampleGuides(g *Genome, n, spacerLen int, pam dna.Pattern, seed int64) []dna.Seq {
 	rng := rand.New(rand.NewSource(seed))
 	var guides []dna.Seq
+	seqs := make([]dna.Seq, len(g.Chroms)) // each chromosome's Bases, read on first draw
 	attempts := 0
 	maxAttempts := 200 * n
 	for len(guides) < n && attempts < maxAttempts {
 		attempts++
-		c := &g.Chroms[rng.Intn(len(g.Chroms))]
+		ci := rng.Intn(len(g.Chroms))
 		siteLen := spacerLen + len(pam)
-		if len(c.Seq) < siteLen {
+		if g.Chroms[ci].Packed.Len() < siteLen {
 			continue
 		}
-		pos := rng.Intn(len(c.Seq) - siteLen)
-		window := c.Seq[pos : pos+siteLen]
+		if seqs[ci] == nil {
+			seqs[ci] = g.Chroms[ci].Bases()
+		}
+		pos := rng.Intn(len(seqs[ci]) - siteLen)
+		window := seqs[ci][pos : pos+siteLen]
 		if !pam.Matches(window[spacerLen:]) {
 			continue
 		}

@@ -215,7 +215,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 	if e.mode == ModePrefilter {
 		return e.scanChromPrefilter(ctx, c, emit)
 	}
-	return e.scanParallel(ctx, c.Name, c.Seq, emit)
+	return e.scanParallel(ctx, c.Name, c.Bases(), emit)
 }
 
 // workers caps the configured parallelism at the machine width.

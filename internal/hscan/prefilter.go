@@ -56,17 +56,14 @@ type pamLane struct {
 type setMasks [16]uint64
 
 // fill computes the member mask of each set in sets for the block whose
-// code words are w0, w1 and ambiguity word a. The code words are split
-// into high- and low-bit planes; each term of a mask is then a
-// lane-equality test against one 2-bit code (A=00, C=01, G=10, T=11),
-// selected when bit b of the set (base b) is on. Ambiguous positions
-// read as A in the code words, so they are cleared from every set.
+// code words are w0, w1 and ambiguity word a: the OR of the block's
+// base planes (dna.PlanesOf) over the set's bases. Ambiguous positions
+// are in no plane, so they are cleared from every set.
 func (m *setMasks) fill(sets []dna.Mask, w0, w1, a uint64) {
-	u0, u1 := unzip(w0), unzip(w1)
-	hi, lo := u0>>32|u1&^0xffffffff, u0&0xffffffff|u1<<32
+	q := dna.PlanesOf(w0, w1, a)
 	for _, s := range sets {
 		sa, sc, sg, st := -uint64(s>>dna.A&1), -uint64(s>>dna.C&1), -uint64(s>>dna.G&1), -uint64(s>>dna.T&1)
-		m[s&15] = (^hi&^lo&sa | ^hi&lo&sc | hi&^lo&sg | hi&lo&st) &^ a
+		m[s&15] = q[dna.A]&sa | q[dna.C]&sc | q[dna.G]&sg | q[dna.T]&st
 	}
 }
 
@@ -299,22 +296,4 @@ func packedBlock(words, amb []uint64, b int) (w0, w1, a uint64) {
 		a = amb[b]
 	}
 	return w0, w1, a
-}
-
-// unzip gathers the even bits of x into its low half and the odd bits
-// into its high half (the inverse perfect shuffle, as five delta swaps).
-// On a packed code word that splits the 32 bases' 2-bit codes into a
-// low-bit and a high-bit plane.
-func unzip(x uint64) uint64 {
-	t := (x ^ x>>1) & 0x2222222222222222
-	x ^= t ^ t<<1
-	t = (x ^ x>>2) & 0x0c0c0c0c0c0c0c0c
-	x ^= t ^ t<<2
-	t = (x ^ x>>4) & 0x00f000f000f000f0
-	x ^= t ^ t<<4
-	t = (x ^ x>>8) & 0x0000ff000000ff00
-	x ^= t ^ t<<8
-	t = (x ^ x>>16) & 0x00000000ffff0000
-	x ^= t ^ t<<16
-	return x
 }

@@ -537,18 +537,3 @@ func TestPrefilterCounters(t *testing.T) {
 		}
 	}
 }
-
-func TestUnzip(t *testing.T) {
-	rng := rand.New(rand.NewSource(312))
-	for trial := 0; trial < 200; trial++ {
-		x := rng.Uint64()
-		var want uint64
-		for i := 0; i < 32; i++ {
-			want |= (x >> uint(2*i) & 1) << uint(i)
-			want |= (x >> uint(2*i+1) & 1) << uint(32+i)
-		}
-		if got := unzip(x); got != want {
-			t.Fatalf("unzip(%#x) = %#x, want %#x", x, got, want)
-		}
-	}
-}

@@ -191,7 +191,9 @@ func (f *fuzzBytes) fuzzChrom(name string) *genome.Chromosome {
 // with duplicates, codes and ends out of range, and windows with no
 // valid PAM. Both must give the same error (or none) for every event,
 // the same sites and drop count, and byte-identical TSV and BED from
-// the batch, per-row and bufio-backed row writers.
+// the batch, per-row and bufio-backed row writers. A second Collector
+// runs every event on planes-only copies of the chromosomes (no Seq),
+// and must agree with the reference, which reads Seq, just the same.
 func FuzzCollector(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("\x03\x41\x82\xc1\x42\x83\xc0\x04\x00\x40\x51\x92\xd3\x44\x85\xc6\x07\x48\x89\xca\x0b\x2c\x4d\x8e\xcf\x10\x51\x92\x13\x14\x95\x16"))
@@ -225,41 +227,54 @@ func FuzzCollector(f *testing.F) {
 		}
 		// chrB precedes chrA in event order but follows it in the output.
 		chroms := []*genome.Chromosome{in.fuzzChrom("chrB"), in.fuzzChrom("chrA")}
+		planes := make([]*genome.Chromosome, len(chroms))
+		for i, c := range chroms {
+			planes[i] = &genome.Chromosome{Name: c.Name, Packed: c.Packed}
+		}
 
-		col := NewCollector(r)
+		col, colPlanes := NewCollector(r), NewCollector(r)
 		ref := &refCollector{r: r, seen: make(map[refKey]bool)}
 		var prev automata.Report
-		var prevChrom *genome.Chromosome
+		prevChrom := -1
 		for len(in) > 0 {
 			b := in.next()
-			c, ev := prevChrom, prev
-			if b&0x80 == 0 || prevChrom == nil {
-				c = chroms[b&1]
+			ci, ev := prevChrom, prev
+			if b&0x80 == 0 || prevChrom < 0 {
+				ci = int(b & 1)
 				ev = automata.Report{
 					Code: int32(int(b>>1&0x3F)%(2*len(guides)+2)) - 1,
-					End:  int(in.next())%(len(c.Seq)+4) - 2,
+					End:  int(in.next())%(len(chroms[ci].Seq)+4) - 2,
 				}
 			}
-			prev, prevChrom = ev, c
-			gotErr, wantErr := col.Add(c, ev), ref.add(c, ev)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("Add(%s, %+v): error %v, reference %v", c.Name, ev, gotErr, wantErr)
-			}
-			site, gotErr := r.Resolve(c, ev)
-			want, wantErr := refResolve(r, c, ev)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || site != want {
-				t.Fatalf("Resolve(%s, %+v) = %+v, %v; reference %+v, %v", c.Name, ev, site, gotErr, want, wantErr)
+			prev, prevChrom = ev, ci
+			c := chroms[ci]
+			wantErr := ref.add(c, ev)
+			want, wantResolveErr := refResolve(r, c, ev)
+			for _, cc := range []struct {
+				col *Collector
+				c   *genome.Chromosome
+			}{{col, c}, {colPlanes, planes[ci]}} {
+				if gotErr := cc.col.Add(cc.c, ev); fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("Add(%s, %+v) seq=%v: error %v, reference %v", c.Name, ev, cc.c.Seq != nil, gotErr, wantErr)
+				}
+				site, gotErr := r.Resolve(cc.c, ev)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantResolveErr) || site != want {
+					t.Fatalf("Resolve(%s, %+v) seq=%v = %+v, %v; reference %+v, %v",
+						c.Name, ev, cc.c.Seq != nil, site, gotErr, want, wantResolveErr)
+				}
 			}
 		}
 
-		got, want := col.Sites(), ref.sorted()
-		if !slices.Equal(got, want) {
-			t.Fatalf("sites differ:\n got %+v\nwant %+v", got, want)
+		want := ref.sorted()
+		for _, cl := range []*Collector{col, colPlanes} {
+			if got := cl.Sites(); !slices.Equal(got, want) {
+				t.Fatalf("sites differ:\n got %+v\nwant %+v", got, want)
+			}
+			if cl.Dropped != ref.dropped {
+				t.Fatalf("dropped %d, reference %d", cl.Dropped, ref.dropped)
+			}
 		}
-		if col.Dropped != ref.dropped {
-			t.Fatalf("dropped %d, reference %d", col.Dropped, ref.dropped)
-		}
-		checkWriters(t, got)
+		checkWriters(t, want)
 	})
 }
 

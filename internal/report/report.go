@@ -12,6 +12,7 @@ package report
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -79,6 +80,17 @@ type Resolver struct {
 	// a window outside the search. NewResolverOriented sets it to the
 	// spacer length, which bounds nothing.
 	MaxMismatches int
+
+	// The guides and PAMs placed in the site window, built once by
+	// NewResolverOriented, which is why the fields above other than
+	// MaxMismatches must not change after it. Index [0] is the plus
+	// strand, read in guide orientation; [1] is the minus strand,
+	// mirrored and complemented so that verify reads a minus site's
+	// window as it lies on the plus strand. Pattern i's lanes are
+	// [i*steps : (i+1)*steps], one per 64-base step of the window.
+	steps      int
+	guideLanes [2][]dna.Lanes
+	pamLanes   [2][]dna.Lanes
 }
 
 // NewResolver builds a resolver for a guide set. All guides must share a
@@ -108,10 +120,21 @@ func NewResolverOriented(guides []dna.Pattern, pam5 bool, pams ...dna.Pattern) (
 			}
 		}
 	}
-	return &Resolver{
+	r := &Resolver{
 		Guides: guides, PAMs: pams, SiteLen: len(guides[0]) + pamLen, PAM5: pam5,
 		MaxMismatches: len(guides[0]),
-	}, nil
+	}
+	pamAt, spacerAt := r.layout()
+	for s, minus := range []bool{false, true} {
+		for _, g := range guides {
+			r.guideLanes[s] = append(r.guideLanes[s], g.Lanes(r.SiteLen, spacerAt, minus)...)
+		}
+		for _, p := range pams {
+			r.pamLanes[s] = append(r.pamLanes[s], p.Lanes(r.SiteLen, pamAt, minus)...)
+		}
+	}
+	r.steps = len(r.guideLanes[0]) / len(guides)
+	return r, nil
 }
 
 // record is one verified site with no pointers: the unit Collector
@@ -144,60 +167,18 @@ func (r *Resolver) layout() (pamAt, spacerAt int) {
 	return len(r.Guides[0]), 0
 }
 
-// Lookup tables for verify and render. Indexed by a dna.Base (BadBase
-// included): the base's singleton mask and letter, and the same for its
-// complement; BadBase maps to the empty mask and 'N'. alignChar[m][ch]
-// is the alignment letter for a site letter ch under a guide mask m:
-// '.' where m accepts ch's base, else ch itself. A lookup rather than a
-// compare keeps the alignment loop free of branches on mismatches.
-var baseMask, complementMask [256]dna.Mask
-var baseChar, complementChar [256]byte
-var alignChar [16][256]byte
-
-func init() {
-	for i := range baseMask {
-		b := dna.Base(i)
-		baseMask[i], complementMask[i] = b.Mask(), b.Complement().Mask()
-		baseChar[i], complementChar[i] = b.Char(), b.Complement().Char()
-	}
-	for m := range alignChar {
-		for ch := range alignChar[m] {
-			alignChar[m][ch] = byte(ch)
-			if dna.Mask(m).Has(dna.BaseFromChar(byte(ch))) {
-				alignChar[m][ch] = '.'
-			}
-		}
-	}
-}
-
-// mismatches counts the bases of pattern p that reject window w read in
-// guide orientation from offset at: w itself for a plus-strand site,
-// its reverse complement for a minus one.
-func mismatches(p dna.Pattern, w dna.Seq, at int, minus bool) int32 {
-	n := int32(0)
-	if minus {
-		w = w[:len(w)-at]
-		for i, m := range p {
-			if m&complementMask[w[len(w)-1-i]] == 0 {
-				n++
-			}
-		}
-	} else {
-		w = w[at:]
-		for i, m := range p {
-			if m&baseMask[w[i]] == 0 {
-				n++
-			}
-		}
-	}
-	return n
+// lanes returns the lanes of pattern i of ls.
+func (r *Resolver) lanes(ls []dna.Lanes, i int) []dna.Lanes {
+	return ls[i*r.steps : (i+1)*r.steps]
 }
 
 // verify re-checks one event against chromosome c, reading the window
-// in place: the guide code is in range, the window lies inside c, an
-// accepted PAM matches, and the spacer recount is within MaxMismatches.
-// It returns the site's record (chrom unset) and faultNone, or the
-// check that failed.
+// from the packed planes: the guide code is in range, the window lies
+// inside c, an accepted PAM matches, and the spacer recount is within
+// MaxMismatches. A pattern's misses are the popcount of its lanes that
+// accept none of the window's bases there, so an ambiguous base is a
+// miss everywhere. It returns the site's record (chrom unset) and
+// faultNone, or the check that failed.
 //
 //crisprlint:hotpath
 func (r *Resolver) verify(c *genome.Chromosome, ev automata.Report) (record, fault) {
@@ -205,17 +186,20 @@ func (r *Resolver) verify(c *genome.Chromosome, ev automata.Report) (record, fau
 	if guide < 0 || guide >= len(r.Guides) {
 		return record{}, faultCode
 	}
+	p := c.Packed
 	pos := ev.End - r.SiteLen + 1
-	if pos < 0 || ev.End >= len(c.Seq) {
+	if pos < 0 || ev.End >= p.Len() {
 		return record{}, faultEnd
 	}
 	rec := record{pos: pos, guide: int32(guide), strand: strand}
-	w := c.Seq[pos : ev.End+1]
-	minus := strand == '-'
-	pamAt, spacerAt := r.layout()
+	s := 0
+	if strand == '-' {
+		s = 1
+	}
+	q := p.Planes(pos)
 	pamOK := len(r.PAMs) == 0
-	for _, p := range r.PAMs {
-		if mismatches(p, w, pamAt, minus) == 0 {
+	for i := range r.PAMs {
+		if m, _ := p.Misses(r.lanes(r.pamLanes[s], i), pos, &q); m == 0 {
 			pamOK = true
 			break
 		}
@@ -223,8 +207,9 @@ func (r *Resolver) verify(c *genome.Chromosome, ev automata.Report) (record, fau
 	if !pamOK {
 		return rec, faultPAM
 	}
-	rec.mism = mismatches(r.Guides[guide], w, spacerAt, minus)
-	if int(rec.mism) > r.MaxMismatches {
+	m, _ := p.Misses(r.lanes(r.guideLanes[s], guide), pos, &q)
+	rec.mism = int32(m)
+	if m > r.MaxMismatches {
 		return rec, faultBudget
 	}
 	return rec, faultNone
@@ -240,7 +225,7 @@ func (r *Resolver) faultErr(f fault, c *genome.Chromosome, ev automata.Report, r
 	case faultPAM:
 		pamAt, _ := r.layout()
 		text := make([]byte, r.textLen())
-		r.render(text, c.Seq, rec)
+		r.render(text, c.Packed, rec)
 		pam := text[pamAt : pamAt+r.SiteLen-len(r.Guides[0])]
 		return fmt.Errorf("report: PAM %s invalid at %s:%d%c", pam, c.Name, rec.pos, rec.strand)
 	}
@@ -253,23 +238,64 @@ func (r *Resolver) textLen() int { return r.SiteLen + len(r.Guides[0]) }
 
 // render writes the text of rec's site into out, which holds textLen
 // bytes: the guide-oriented site sequence (Site.SiteSeq), then the
-// spacer alignment (Site.Alignment).
-func (r *Resolver) render(out []byte, seq dna.Seq, rec record) {
+// spacer alignment (Site.Alignment). It reads the window from the
+// planes 64 bases at a time, reverse complemented in the register for
+// a minus-strand site, and writes 8 letters per step of letters.
+func (r *Resolver) render(out []byte, p *dna.Packed, rec record) {
 	site, align := out[:r.SiteLen], out[r.SiteLen:]
-	w := seq[rec.pos:][:len(site)]
-	if rec.strand == '-' {
-		for i := range site {
-			site[i] = complementChar[w[len(w)-1-i]]
+	_, spacerAt := r.layout()
+	guide := r.lanes(r.guideLanes[0], int(rec.guide))
+	var siteBuf, alignBuf [64]byte
+	for s := range guide {
+		o := 64 * s
+		n := min(64, r.SiteLen-o)
+		var q dna.Planes
+		if rec.strand == '-' {
+			q = p.Planes(rec.pos + r.SiteLen - o - n).ReverseComplement(n)
+		} else {
+			q = p.Planes(rec.pos + o)
 		}
-	} else {
-		for i := range site {
-			site[i] = baseChar[w[i]]
+		letters(&siteBuf, &alignBuf, &q, guide[s].Accepted(&q), n)
+		copy(site[o:o+n], siteBuf[:n])
+		if lo, hi := max(o, spacerAt), min(o+n, spacerAt+len(align)); lo < hi {
+			copy(align[lo-spacerAt:hi-spacerAt], alignBuf[lo-o:hi-o])
 		}
 	}
-	_, spacerAt := r.layout()
-	spacer := site[spacerAt:][:len(align)]
-	for i, m := range r.Guides[rec.guide][:len(align)] {
-		align[i] = alignChar[m&15][spacer[i]]
+}
+
+// lanesA holds 'A' in every byte lane.
+const lanesA = 0x4141414141414141
+
+// laneBits[x] spreads the 8 bits of x into byte lanes of 0 or 1, bit j
+// to lane j.
+var laneBits [256]uint64
+
+func init() {
+	for x := range laneBits {
+		for j := 0; j < 8; j++ {
+			laneBits[x] |= uint64(x>>j&1) << (8 * j)
+		}
+	}
+}
+
+// letters writes the first n (at most 64) bases of q as letters, eight
+// byte lanes per step: into site A, C, G or T, and N for a base in no
+// plane; into align the same, but '.' at the positions set in dots.
+// A base's code bits c0 (C or T) and c1 (G or T) give its letter as
+// 'A' + 2*c0 + 6*c1 + 11*c0*c1 (A, C, G, T = 0x41, 0x43, 0x47, 0x54),
+// and an N adds 13 to the 'A' its empty code bits read as.
+//
+//crisprlint:hotpath
+func letters(site, align *[64]byte, q *dna.Planes, dots uint64, n int) {
+	lo, hi := q[dna.C]|q[dna.T], q[dna.G]|q[dna.T]
+	none := ^(q[dna.A] | lo | hi)
+	for o := 0; o < n && o < 64; o += 8 {
+		sh := uint(o)
+		c0, c1 := laneBits[uint8(lo>>sh)], laneBits[uint8(hi>>sh)]
+		l := lanesA + c0*2 + c1*6 + (c0&c1)*11 + laneBits[uint8(none>>sh)]*13
+		d := laneBits[uint8(dots>>sh)]
+		binary.LittleEndian.PutUint64(site[o:], l)
+		binary.LittleEndian.PutUint64(align[o:], l&^(d*0xFF)|d*'.')
 	}
 }
 
@@ -295,7 +321,7 @@ func (r *Resolver) Resolve(c *genome.Chromosome, ev automata.Report) (Site, erro
 		return Site{}, r.faultErr(f, c, ev, rec)
 	}
 	text := make([]byte, r.textLen())
-	r.render(text, c.Seq, rec)
+	r.render(text, c.Packed, rec)
 	return r.site(rec, c.Name, string(text)), nil
 }
 
@@ -377,7 +403,7 @@ func (col *Collector) Sites() []Site {
 	text.Grow(len(kept) * per)
 	buf := make([]byte, per)
 	for _, rec := range kept {
-		r.render(buf, col.chroms[rec.chrom].Seq, rec)
+		r.render(buf, col.chroms[rec.chrom].Packed, rec)
 		text.Write(buf)
 	}
 	all := text.String()

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -212,6 +214,56 @@ func TestRowAppendersAllocateNothing(t *testing.T) {
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { buf = appendRow(buf[:0], s) }); allocs != 0 {
 			t.Errorf("%s allocates %v per row into a buffer with room", name, allocs)
+		}
+	}
+}
+
+// TestResolveLongWindow resolves every event end on both strands of a
+// chromosome with N runs, for a 70-nt guide and a 3' PAM and for the
+// same guide with a 5' PAM, so each window spans two 64-base steps of
+// the planes. Resolve must agree with the reference resolver, which
+// reads Seq, on a chromosome with Seq and on one with only its planes.
+func TestResolveLongWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	seq := make(dna.Seq, 400)
+	for i := range seq {
+		seq[i] = dna.Base(rng.Intn(4))
+		if i%97 > 93 {
+			seq[i] = dna.BadBase
+		}
+	}
+	c := &genome.Chromosome{Name: "chrL", Seq: seq, Packed: dna.Pack(seq)}
+	planes := &genome.Chromosome{Name: c.Name, Packed: c.Packed}
+	guide := dna.PatternFromSeq(seq[100:170])
+	guide[5], guide[66] = dna.MustParsePattern("N")[0], dna.MustParsePattern("R")[0]
+	for _, pam5 := range []bool{false, true} {
+		pam := dna.MustParsePattern("NGG")
+		if pam5 {
+			pam = dna.MustParsePattern("TTTV")
+		}
+		r, err := NewResolverOriented([]dna.Pattern{guide}, pam5, pam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := 0
+		for end := -1; end <= len(seq); end++ {
+			for _, strand := range []byte{'+', '-'} {
+				ev := automata.Report{Code: CodeFor(0, strand), End: end}
+				want, wantErr := refResolve(r, c, ev)
+				for _, cc := range []*genome.Chromosome{c, planes} {
+					got, err := r.Resolve(cc, ev)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+						t.Fatalf("pam5=%v Resolve(%+v) seq=%v = %+v, %v; reference %+v, %v",
+							pam5, ev, cc.Seq != nil, got, err, want, wantErr)
+					}
+				}
+				if wantErr == nil {
+					sites++
+				}
+			}
+		}
+		if sites == 0 {
+			t.Fatalf("pam5=%v: no event resolved, so the test compared only errors", pam5)
 		}
 	}
 }

@@ -64,6 +64,7 @@ type specPlan struct {
 // exercise the exact same probe/verify code the persistent path uses.
 type Engine struct {
 	specs     []arch.PatternSpec
+	spacers   [][]dna.Lanes // each spec's spacer placed in its site window
 	plans     []specPlan
 	keys      []uint32 // every variant key of the plans, sorted, no repeats
 	idx       *Index   // nil in self-indexing mode
@@ -115,6 +116,7 @@ func New(specs []arch.PatternSpec, idx *Index, opt Options) (*Engine, error) {
 		variantCap = DefaultMaxFragmentVariants
 	}
 	e.plans = make([]specPlan, len(specs))
+	e.spacers = make([][]dna.Lanes, len(specs))
 	for i := range specs {
 		spec := &specs[i]
 		if len(spec.Spacer) != e.spacerLen || spec.SiteLen() != e.site {
@@ -123,6 +125,7 @@ func New(specs []arch.PatternSpec, idx *Index, opt Options) (*Engine, error) {
 		if spec.K < 0 || spec.K > e.spacerLen {
 			return nil, fmt.Errorf("seedindex: pattern %d budget %d out of range", i, spec.K)
 		}
+		e.spacers[i] = spec.Spacer.Lanes(e.site, spec.SpacerOffset(), false)
 		e.plans[i] = compilePlan(spec, e.seedLen, variantCap)
 		if !e.plans[i].fallback {
 			e.anyProbed = true
@@ -249,8 +252,9 @@ type cand struct {
 // latency, isolates worker panics, and returns batches in chunk order
 // so emission is deterministic.
 func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(automata.Report)) error {
-	seq := c.Seq
-	if len(seq) < e.site {
+	packed := c.Packed
+	n := packed.Len()
+	if n < e.site {
 		return nil
 	}
 	lists, lo, err := e.listsFor(ctx, c)
@@ -277,7 +281,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 		}
 		scratch = scratch[:0]
 		for fi := range plan.frags {
-			scratch = e.probe(lists, &plan.frags[fi], lo, len(seq), scratch)
+			scratch = e.probe(lists, &plan.frags[fi], lo, n, scratch)
 		}
 		probes += int64(len(scratch))
 		slices.Sort(scratch)
@@ -302,7 +306,7 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 				batch := cands[lo:hi]
 				for i := range batch {
 					cd := batch[i]
-					e.verifyPos(seq, &e.specs[cd.spec], int(cd.pos), out, &pamHits, &verifs)
+					e.verifyPos(packed, int(cd.spec), int(cd.pos), out, &pamHits, &verifs)
 				}
 				e.rec.Add(metrics.CounterPrefilterHits, pamHits)
 				e.rec.Add(metrics.CounterVerifications, verifs)
@@ -321,14 +325,13 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 		if !e.plans[si].fallback {
 			continue
 		}
-		spec := &e.specs[si]
-		total := len(seq) - e.site + 1
+		total := n - e.site + 1
 		chunks, err := arch.ChunkScan(ctx, "seed-index sweep "+c.Name, workers, total, arch.DefaultChunk, e.rec,
 			//crisprlint:hotpath
 			func(lo, hi int, out *[]automata.Report) error {
 				var pamHits, verifs int64
 				for p := lo; p < hi; p++ {
-					e.verifyPos(seq, spec, p, out, &pamHits, &verifs)
+					e.verifyPos(packed, si, p, out, &pamHits, &verifs)
 				}
 				e.rec.Add(metrics.CounterCandidateWindows, int64(hi-lo))
 				e.rec.Add(metrics.CounterPrefilterHits, pamHits)
@@ -350,8 +353,9 @@ func (e *Engine) ScanChrom(ctx context.Context, c *genome.Chromosome, emit func(
 // probe appends to scratch the start of every window of an n-base
 // chromosome at genome offset lo that one of fr's variants seeds;
 // lists holds the posting list of each key of Engine.keys. A key's
-// posting list spans the whole genome, so two binary searches cut it to
-// this chromosome first.
+// posting list spans the whole genome and is strictly ascending (the
+// engine checks every list it reads), so one binary search finds the
+// chromosome's first posting and the walk stops at its end.
 //
 //crisprlint:hotpath
 func (e *Engine) probe(lists [][]uint32, fr *fragPlan, lo uint32, n int, scratch []int32) []int32 {
@@ -360,8 +364,10 @@ func (e *Engine) probe(lists [][]uint32, fr *fragPlan, lo uint32, n int, scratch
 	for _, s := range fr.slots {
 		list := lists[s]
 		a, _ := slices.BinarySearch(list, lo)
-		b, _ := slices.BinarySearch(list, hi)
-		for _, gp := range list[a:b] {
+		for _, gp := range list[a:] {
+			if gp >= hi {
+				break
+			}
 			p := int(gp-lo) - off
 			if p < 0 || p+site > n {
 				continue
@@ -390,12 +396,12 @@ func (e *Engine) listsFor(ctx context.Context, c *genome.Chromosome) ([][]uint32
 		if ci == nil {
 			return nil, 0, fmt.Errorf("%w: chromosome %q not in index", ErrStale, c.Name)
 		}
-		if ci.SeqLen != len(c.Seq) {
-			return nil, 0, fmt.Errorf("%w: chromosome %q is %d bases in the index, %d in the genome", ErrStale, c.Name, ci.SeqLen, len(c.Seq))
+		if n := c.Packed.Len(); ci.SeqLen != n {
+			return nil, 0, fmt.Errorf("%w: chromosome %q is %d bases in the index, %d in the genome", ErrStale, c.Name, ci.SeqLen, n)
 		}
 		// Content hash too: a same-shape edit must fail closed here, not
 		// silently drop the candidates the stale table no longer lists.
-		if c.Packed != ci.Packed && seqSHA(c.Seq) != ci.SeqSHA {
+		if c.Packed != ci.Packed && seqSHA(c.Bases()) != ci.SeqSHA {
 			return nil, 0, fmt.Errorf("%w: chromosome %q content differs from the indexed reference", ErrStale, c.Name)
 		}
 		lists, err := e.resolve(ctx)
@@ -404,7 +410,7 @@ func (e *Engine) listsFor(ctx context.Context, c *genome.Chromosome) ([][]uint32
 	if !e.anyProbed {
 		return nil, 0, nil
 	}
-	t := buildTable([]dna.Seq{c.Seq}, e.seedLen)
+	t := buildTable([]*dna.Packed{c.Packed}, e.seedLen)
 	return t.lists(e.keys), 0, nil
 }
 
@@ -426,28 +432,39 @@ func (e *Engine) resolve(ctx context.Context) ([][]uint32, error) {
 }
 
 // verifyPos applies the full exact-match semantics shared by every
-// engine to one candidate window: PAM acceptance, the
-// ambiguous-window skip, and the complete spacer Hamming count. Probes
-// only ever add candidates, so a defective table can cause misses (and
-// those are caught by hash validation), never false hits.
+// engine to spec si's window at p, reading it from the planes: PAM
+// acceptance, the ambiguous-window skip, and the complete spacer
+// Hamming count. Most candidates fail the PAM, so its few bases are
+// tested first from packed windows of up to 32 bases; only a PAM hit
+// reads the window's base planes, and the spacer's misses are one
+// masked popcount over them (dna.Packed.Misses). Probes only ever add
+// candidates, so a defective table can cause misses (and those are
+// caught by hash validation), never false hits.
 //
 //crisprlint:hotpath
-func (e *Engine) verifyPos(seq dna.Seq, spec *arch.PatternSpec, p int, out *[]automata.Report, pamHits, verifs *int64) {
-	pam := spec.PAM
-	pamOff := p + spec.PAMOffset()
-	for i, m := range pam {
-		if !m.Has(seq[pamOff+i]) {
+func (e *Engine) verifyPos(packed *dna.Packed, si, p int, out *[]automata.Report, pamHits, verifs *int64) {
+	spec := &e.specs[si]
+	pam, off := spec.PAM, p+spec.PAMOffset()
+	for i := 0; i < len(pam); i += 32 {
+		w := min(32, len(pam)-i)
+		codes, amb := packed.Window(off+i, w)
+		if amb != 0 {
 			return
+		}
+		for j, m := range pam[i : i+w] {
+			if !m.Has(dna.Base(codes >> (2 * uint(j)) & 3)) {
+				return
+			}
 		}
 	}
 	*pamHits++
-	spacerOff := p + spec.SpacerOffset()
-	window := seq[spacerOff : spacerOff+e.spacerLen]
-	if window.HasAmbiguous() {
+	q := packed.Planes(p)
+	m, ambiguous := packed.Misses(e.spacers[si], p, &q)
+	if ambiguous {
 		return
 	}
 	*verifs++
-	if spec.Spacer.Mismatches(window) > spec.K {
+	if m > spec.K {
 		return
 	}
 	//crisprlint:allow hotpath match reports are rare relative to candidates; the batch grows amortized

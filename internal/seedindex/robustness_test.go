@@ -249,11 +249,11 @@ func TestScanOverOwnGenomeSkipsRehash(t *testing.T) {
 	if got := scanBytes(&own.Chroms[0]); got >= n/2 {
 		t.Errorf("scan over ix.Genome() allocated %d bytes per run, a sequence-sized buffer for %d bases", got, n)
 	}
-	other := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: own.Chroms[0].Seq})
+	other := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: own.Chroms[0].Bases()})
 	if got := scanBytes(&other.Chroms[0]); got < n {
 		t.Errorf("scan over a copy allocated %d bytes per run; the recheck's %d-byte buffer is missing, so this test cannot see a rehash", got, n)
 	}
-	edited := append(dna.Seq(nil), own.Chroms[0].Seq...)
+	edited := append(dna.Seq(nil), own.Chroms[0].Bases()...)
 	edited[n/2] ^= 1
 	drifted := genome.New(genome.Chromosome{Name: own.Chroms[0].Name, Seq: edited})
 	if err := e.ScanChrom(context.Background(), &drifted.Chroms[0], drop); !errors.Is(err, seedindex.ErrStale) {

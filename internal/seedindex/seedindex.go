@@ -116,18 +116,19 @@ func (t *seedTable) lists(keys []uint32) [][]uint32 {
 // buildTable indexes every fully concrete seedLen-mer of seqs by its
 // genome-wide start, with a two-pass counting sort: count each key,
 // prefix-sum the counts into starts, then place each position at its
-// key's cursor. Positions are placed in ascending order, so every
-// posting list comes out sorted. K-mers touching an ambiguous base are
-// skipped — sound, because engines never report windows containing
-// ambiguous bases, so every reportable window's seed fragments are
-// concrete and indexed — and no k-mer spans two sequences.
-func buildTable(seqs []dna.Seq, seedLen int) seedTable {
+// key's cursor. Keys roll straight from the 2-bit codes of the planes.
+// Positions are placed in ascending order, so every posting list comes
+// out sorted. K-mers touching an ambiguous base are skipped — sound,
+// because engines never report windows containing ambiguous bases, so
+// every reportable window's seed fragments are concrete and indexed —
+// and no k-mer spans two sequences.
+func buildTable(seqs []*dna.Packed, seedLen int) seedTable {
 	keys := 1 << (2 * uint(seedLen))
 	starts := make([]uint32, keys+1)
-	for _, seq := range seqs {
+	for _, p := range seqs {
 		r := newRoller(seedLen)
-		for _, b := range seq {
-			if r.push(b) {
+		for i := range p.Len() {
+			if r.push(p.Base(i)) {
 				starts[r.key+1]++
 			}
 		}
@@ -137,15 +138,15 @@ func buildTable(seqs []dna.Seq, seedLen int) seedTable {
 	}
 	postings := make([]uint32, starts[keys])
 	off := uint32(0)
-	for _, seq := range seqs {
+	for _, p := range seqs {
 		r := newRoller(seedLen)
-		for i, b := range seq {
-			if r.push(b) {
+		for i := range p.Len() {
+			if r.push(p.Base(i)) {
 				postings[starts[r.key]] = off + uint32(i+1-seedLen)
 				starts[r.key]++
 			}
 		}
-		off += uint32(len(seq))
+		off += uint32(p.Len())
 	}
 	// Placing advanced each cursor to its key's end, which is the next
 	// key's start: shift back by one.
@@ -215,35 +216,35 @@ func Build(g *genome.Genome, seedLen int) (*Index, error) {
 	if err := checkSeedLen(seedLen); err != nil {
 		return nil, err
 	}
+	seqs := make([]*dna.Packed, len(g.Chroms))
 	var total uint64
 	for i := range g.Chroms {
-		total += uint64(len(g.Chroms[i].Seq))
+		c := &g.Chroms[i]
+		seqs[i] = c.Packed
+		if seqs[i] == nil {
+			seqs[i] = dna.Pack(c.Seq)
+		}
+		total += uint64(seqs[i].Len())
 	}
 	if err := checkGenomeLen(total); err != nil {
 		return nil, err
 	}
 	ix := &Index{SeedLen: seedLen, byName: make(map[string]int, len(g.Chroms))}
-	seqs := make([]dna.Seq, len(g.Chroms))
 	off := uint32(0)
 	for i := range g.Chroms {
 		c := &g.Chroms[i]
 		if _, dup := ix.byName[c.Name]; dup {
 			return nil, fmt.Errorf("seedindex: duplicate chromosome %q", c.Name)
 		}
-		packed := c.Packed
-		if packed == nil {
-			packed = dna.Pack(c.Seq)
-		}
 		ix.byName[c.Name] = len(ix.Chroms)
 		ix.Chroms = append(ix.Chroms, ChromIndex{
 			Name:   c.Name,
-			SeqLen: len(c.Seq),
-			SeqSHA: seqSHA(c.Seq),
-			Packed: packed,
+			SeqLen: seqs[i].Len(),
+			SeqSHA: seqSHA(c.Bases()),
+			Packed: seqs[i],
 			off:    off,
 		})
-		seqs[i] = c.Seq
-		off += uint32(len(c.Seq))
+		off += uint32(seqs[i].Len())
 	}
 	ix.table = buildTable(seqs, seedLen)
 	return ix, nil
@@ -304,7 +305,8 @@ func (ix *Index) Postings() int {
 // index belongs to a different reference); scanning with such an index
 // could silently miss sites, so callers must fail closed on error.
 // Each chromosome it proves equal takes the index's own packed planes,
-// so a scan of g with the index hashes no chromosome a second time.
+// so a scan of g with the index hashes no chromosome a second time; one
+// that already carries them (from Genome) is not hashed at all.
 func (ix *Index) ValidateGenome(g *genome.Genome) error {
 	if g == nil {
 		return fmt.Errorf("seedindex: nil genome")
@@ -317,10 +319,10 @@ func (ix *Index) ValidateGenome(g *genome.Genome) error {
 		if c.Name != ci.Name {
 			return fmt.Errorf("%w: chromosome %d is %q in index, %q in genome", ErrStale, i, ci.Name, c.Name)
 		}
-		if len(c.Seq) != ci.SeqLen {
-			return fmt.Errorf("%w: chromosome %q length %d in index, %d in genome", ErrStale, c.Name, ci.SeqLen, len(c.Seq))
+		if n := c.Packed.Len(); n != ci.SeqLen {
+			return fmt.Errorf("%w: chromosome %q length %d in index, %d in genome", ErrStale, c.Name, ci.SeqLen, n)
 		}
-		if seqSHA(c.Seq) != ci.SeqSHA {
+		if c.Packed != ci.Packed && seqSHA(c.Bases()) != ci.SeqSHA {
 			return fmt.Errorf("%w: chromosome %q content hash differs (reference edited after indexing?)", ErrStale, c.Name)
 		}
 		c.Packed = ci.Packed
@@ -328,17 +330,20 @@ func (ix *Index) ValidateGenome(g *genome.Genome) error {
 	return nil
 }
 
-// Genome materializes the reference the index was built from: the index
-// is self-contained, so a scan can run without the original FASTA.
-// Ambiguous positions come back as the canonical N — exactly how the
-// FASTA parser canonicalizes them, so scan output is identical. Each
-// chromosome shares the index's own packed planes, which is how the
-// engine knows it needs no content-hash recheck.
+// Genome returns the reference the index was built from: the index is
+// self-contained, so a scan can run without the original FASTA. Each
+// chromosome holds only its Name and the index's own packed planes, and
+// a nil Seq: scans, verify and render read the planes, and the engines
+// that compare bytes unpack them through Chromosome.Bases, in which
+// ambiguous positions come back as the canonical N, exactly as the
+// FASTA parser canonicalizes them. It allocates per chromosome, not per
+// base. Sharing the index's planes is how the engine knows it needs no
+// content-hash recheck.
 func (ix *Index) Genome() *genome.Genome {
 	chroms := make([]genome.Chromosome, len(ix.Chroms))
 	for i := range ix.Chroms {
 		c := &ix.Chroms[i]
-		chroms[i] = genome.Chromosome{Name: c.Name, Seq: c.Packed.Unpack(), Packed: c.Packed}
+		chroms[i] = genome.Chromosome{Name: c.Name, Packed: c.Packed}
 	}
 	return genome.New(chroms...)
 }

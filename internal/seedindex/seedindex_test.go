@@ -175,7 +175,7 @@ func TestRoundTrip(t *testing.T) {
 		if g.Chroms[i].Name != rg.Chroms[i].Name {
 			t.Fatalf("chrom %d name %q, want %q", i, rg.Chroms[i].Name, g.Chroms[i].Name)
 		}
-		if g.Chroms[i].Seq.String() != rg.Chroms[i].Seq.String() {
+		if g.Chroms[i].Seq.String() != rg.Chroms[i].Bases().String() {
 			t.Fatalf("chrom %q sequence differs after round trip", g.Chroms[i].Name)
 		}
 	}
@@ -245,7 +245,7 @@ func TestValidateGenomeDetectsDrift(t *testing.T) {
 // ambiguity gap.
 func TestTableLookup(t *testing.T) {
 	seq, _ := dna.ParseSeq("ACGTACGTNNACGTACGT")
-	tbl := buildTable([]dna.Seq{seq}, 4)
+	tbl := buildTable([]*dna.Packed{dna.Pack(seq)}, 4)
 	key, ok := dna.KmerOf(dna.MustParseSeq("ACGT"))
 	if !ok {
 		t.Fatal("kmer not concrete")
@@ -403,7 +403,7 @@ func TestTableValidation(t *testing.T) {
 	withN, _ := dna.ParseSeq("ACGTNACGTTTTACG")
 	seqs := []dna.Seq{dna.MustParseSeq("ACGTACGTACGAACGT"), withN}
 	total := int64(len(seqs[0]) + len(seqs[1]))
-	build := func() seedTable { return buildTable(seqs, 4) }
+	build := func() seedTable { return buildTable([]*dna.Packed{dna.Pack(seqs[0]), dna.Pack(seqs[1])}, 4) }
 	acgt := 0x1B // ACGT as a 2-bit key
 	if tbl := build(); fmt.Sprint(tbl.lookup(uint32(acgt))) != "[0 4 12 16 21]" {
 		t.Fatalf("ACGT postings %v, want genome-wide positions [0 4 12 16 21]", tbl.lookup(uint32(acgt)))
